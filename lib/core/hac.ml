@@ -59,19 +59,12 @@ let mark_dirty (ctx : Ctx.t) path =
     journal_append ctx ("F " ^ path)
   end
 
-(* A settle's domain budget becomes a pool only when it actually buys
-   parallelism; [None] keeps the engine on the exact sequential code path. *)
-let with_pool domains f =
-  match domains with
-  | Some d when d > 1 -> Hac_par.Pool.with_pool ~domains:d (fun p -> f (Some p))
-  | Some _ | None -> f None
-
 (* Settle everything now: data consistency, then scope consistency.  The
    reindex delta drives an incremental re-evaluation; structural events
    (renames, link edits — anything that set [needs_full_sync]) make
-   [sync_delta] fall back to a full pass.  [?domains] re-evaluates with a
-   domain pool of that width (see {!Sync.sync_all}); the result is identical
-   to the default sequential settle. *)
+   [sync_delta] fall back to a full pass.  [?domains] is the width of the
+   domain pool the pass runs on (see {!Sync.sync_all}); the result does not
+   depend on it. *)
 let settle ?durability ?domains (ctx : Ctx.t) =
   (* The knob is sticky: a settle that picks a durability mode sets it for
      every subsequent journal append too. *)
@@ -81,7 +74,7 @@ let settle ?durability ?domains (ctx : Ctx.t) =
   | None -> ());
   Hac_obs.Trace.with_span ctx.instr.Instr.tracer ~name:"hac.settle" (fun () ->
       let _, delta = Sync.reindex_with_delta ctx () in
-      with_pool domains (fun pool -> Sync.sync_delta ?pool ctx delta);
+      Hac_par.Pool.with_pool ?domains (fun pool -> Sync.sync_delta ~pool ctx delta);
       (* Completion barrier: nothing this settle acknowledged may be
          reordered past it — the journal tail (and, the simulated disk
          persisting in order, every metadata write before it) is on disk
@@ -663,19 +656,19 @@ let semantic_dirs (ctx : Ctx.t) =
 
 let ssync ?domains (ctx : Ctx.t) path =
   let uid = uid_of_dir ctx path in
-  with_pool domains (fun pool -> Sync.sync_from ?pool ctx uid)
+  Hac_par.Pool.with_pool ?domains (fun pool -> Sync.sync_from ~pool ctx uid)
 
 let sync_all ?domains (ctx : Ctx.t) =
-  with_pool domains (fun pool -> Sync.sync_all ?pool ctx)
+  Hac_par.Pool.with_pool ?domains (fun pool -> Sync.sync_all ~pool ctx)
 
 let reindex ?domains (ctx : Ctx.t) ?under () =
   let n, delta = Sync.reindex_with_delta ctx ?under () in
-  with_pool domains (fun pool -> Sync.sync_delta ?pool ctx delta);
+  Hac_par.Pool.with_pool ?domains (fun pool -> Sync.sync_delta ~pool ctx delta);
   n
 
 let reindex_full ?domains (ctx : Ctx.t) ?under () =
   let n = Sync.reindex ctx ?under () in
-  with_pool domains (fun pool -> Sync.sync_all ?pool ctx);
+  Hac_par.Pool.with_pool ?domains (fun pool -> Sync.sync_all ~pool ctx);
   ctx.needs_full_sync <- false;
   n
 

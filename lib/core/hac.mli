@@ -146,10 +146,11 @@ val semantic_dirs : t -> string list
 val settle : ?durability:[ `Always | `Batch ] -> ?domains:int -> t -> unit
 (** Settle everything now: data consistency (reindex the dirty paths), then
     scope consistency (incremental, falling back to a full pass after
-    structural events).  [?domains > 1] re-evaluates with a domain pool of
-    that width: each dependency level's query evaluations run concurrently
-    against the frozen index, results are applied in order — the outcome is
-    identical to the sequential settle (see [docs/parallelism.md]).
+    structural events).  [?domains] (default 1) is the width of the domain
+    pool the re-evaluation runs on: each dependency level's query
+    evaluations run concurrently against the frozen index (inline at width
+    1) and results are applied in level order, so the outcome does not
+    depend on the width (see [docs/parallelism.md]).
 
     Every settle ends with a durability barrier: the journal tail is
     fsynced to the simulated disk before the settle returns, so nothing a

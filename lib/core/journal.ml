@@ -5,12 +5,12 @@ module Fs = Hac_vfs.Fs
 module Vpath = Hac_vfs.Vpath
 module Image = Hac_vfs.Image
 
-let checksum = Seal.checksum
-let seal = Seal.seal
+let checksum = Hac_store.Seal.checksum
+let seal = Hac_store.Seal.seal
 
-type line = Seal.line = Valid of string | Corrupt of string | Blank
+type line = Hac_store.Seal.line = Valid of string | Corrupt of string | Blank
 
-let parse = Seal.parse
+let parse = Hac_store.Seal.parse
 
 (* -- record replay ---------------------------------------------------------
 
@@ -210,8 +210,8 @@ let current_epoch fs =
    checkpoint is detected as a unit (all-or-nothing) before any of it is
    believed. *)
 
-let seal_blob = Seal.seal_blob
-let open_blob = Seal.open_blob
+let seal_blob = Hac_store.Seal.seal_blob
+let open_blob = Hac_store.Seal.open_blob
 
 let read_opt fs path =
   try Some (Fs.read_file fs path) with Hac_vfs.Errno.Error _ -> None

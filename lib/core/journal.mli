@@ -22,7 +22,7 @@ val seal : string -> string
 (** [seal body] is the on-disk form of the record (no trailing newline):
     the body plus its checksum suffix. *)
 
-type line = Seal.line =
+type line = Hac_store.Seal.line =
   | Valid of string  (** Intact record; carries the body. *)
   | Corrupt of string  (** Checksum missing or wrong; carries the raw line. *)
   | Blank  (** Empty/whitespace line (e.g. after a trailing newline). *)

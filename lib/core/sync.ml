@@ -54,26 +54,21 @@ let compute_scope (ctx : Ctx.t) uid =
             (Semdir.links_of_cls sd Link.Permanent);
           { local = !local; remote = List.rev !remote; mount_uids })
 
-let provided_scope = compute_scope
-
 (* One propagation pass computes each directory's provided scope at most
-   once: [sync_from]/[sync_all] used to re-derive every scope for every
-   resync (the dirref environment re-derives them again inside query
-   evaluation).  Entries stay valid for the whole pass because directories
-   are processed dependencies-first and the index does not change during a
-   pass; the one exception — a directory whose own result just changed —
-   drops its entry so dependents recompute it.
+   once, however many children and dirref terms read it.  Entries stay
+   valid for the whole pass because directories are processed
+   dependencies-first and the index does not change during a pass; the one
+   exception — a directory whose own result just changed — drops its entry
+   so dependents recompute it.
 
    A pass also owns the shared evaluation caches (a term-result memo and a
-   bounded document content/token cache) and the hoisted evaluator; all
-   three live exactly as long as the pass, which is the window during which
-   the index is frozen — dropping them at pass end is the whole
-   invalidation story. *)
+   bounded document content/token cache); both live exactly as long as the
+   pass, which is the window during which the index is frozen — dropping
+   them at pass end is the whole invalidation story. *)
 type pass = {
   scopes : (int, scope) Hashtbl.t;
   memo : Search.term_memo option;
   cache : Search.doc_cache option;
-  mutable ev : Search.evaluator option;  (* main-domain evaluator, built lazily *)
 }
 
 let fresh_pass (ctx : Ctx.t) =
@@ -82,9 +77,8 @@ let fresh_pass (ctx : Ctx.t) =
       scopes = Hashtbl.create 16;
       memo = Some (Search.term_memo ());
       cache = Some (Search.doc_cache ());
-      ev = None;
     }
-  else { scopes = Hashtbl.create 16; memo = None; cache = None; ev = None }
+  else { scopes = Hashtbl.create 16; memo = None; cache = None }
 
 (* Fold the pass caches' totals into the instance counters once, at pass
    end — during the pass, accounting stays inside the caches' own locks, so
@@ -165,8 +159,8 @@ let attr_docs ?within ?cache (ctx : Ctx.t) key value =
    are per-container cardinalities of exactly the partitions a lookup would
    touch (scoped by [?under] when the evaluation has a subtree scope);
    with it off they fall back to Glimpse posting-block upper bounds.  No
-   candidate set is ever materialised, and — because [eval_query_par] calls
-   this from worker domains — no metric, tracer or cache is touched here.
+   candidate set is ever materialised, and — because evaluations run on
+   pool domains — no metric, tracer or cache is touched here.
    Verification never widens a candidate set, so these are sound upper
    bounds for ordering conjunctions. *)
 let term_cost ?under (ctx : Ctx.t) term =
@@ -190,15 +184,12 @@ let term_cost ?under (ctx : Ctx.t) term =
       | None -> universe_size ())
   | Ast.Dirref (Ast.Ref_path _) -> universe_size ()
 
-(* Build an evaluator over the pass caches.  [~shared:false] is the main
-   domain's: dirref scopes go through [scope_in] and get published into the
-   pass table.  [~shared:true] is for worker domains: same caches, but the
-   read-only scope view, so the unsynchronized pass table is never written
-   off the main domain. *)
-let make_evaluator pass (ctx : Ctx.t) ~shared =
-  let scope_of u =
-    if shared then (scope_ro pass ctx u).local else (scope_in pass ctx u).local
-  in
+(* Build an evaluator over the pass caches.  Evaluations may run on any
+   domain of the pool, so dirref scopes go through the read-only view: the
+   unsynchronized pass table is only ever written by the pre-stage, on the
+   calling domain. *)
+let make_evaluator pass (ctx : Ctx.t) =
+  let scope_of u = (scope_ro pass ctx u).local in
   let dirref ?within:_ = function
     | Ast.Ref_uid u -> scope_of u
     | Ast.Ref_path p -> (
@@ -210,57 +201,13 @@ let make_evaluator pass (ctx : Ctx.t) ~shared =
   Search.evaluator ?memo:pass.memo ?cache:pass.cache ctx.index (Ctx.reader ctx) ~attr
     ~dirref
 
-(* The pass's own (main-domain) evaluator, built on first use and reused by
-   every sequential evaluation in the pass: the query environment's closures
-   are hoisted out of the per-directory loop. *)
-let evaluator_in pass ctx =
-  match pass.ev with
-  | Some ev -> ev
-  | None ->
-      let ev = make_evaluator pass ctx ~shared:false in
-      pass.ev <- Some ev;
-      ev
+(* -- query evaluation ------------------------------------------------------
 
-(* [?under] is the scope-pushdown hint: the (normalized, absolute) directory
-   the final result will be intersected below.  It sharpens both the cost
-   model (partition-scoped cardinalities) and candidate generation (the CAS
-   index skips partitions that cannot intersect the scope) — sound only
-   because the caller intersects with a subtree scope at or below it. *)
-let eval_query_in pass (ctx : Ctx.t) ?restrict_to ?under q =
-  let i = ctx.instr in
-  Hac_obs.Trace.with_span i.Instr.tracer ~name:"query.eval" (fun () ->
-      let report ~chosen ~naive ~terms:_ =
-        Hac_obs.Metrics.incr i.Instr.planner_chains;
-        if chosen < naive then begin
-          Hac_obs.Metrics.incr i.Instr.planner_reordered;
-          Hac_obs.Metrics.incr ~by:(naive - chosen) i.Instr.planner_cost_saved
-        end;
-        (match under with
-        | Some _ -> Hac_obs.Metrics.incr i.Instr.planner_scoped_chains
-        | None -> ())
-      in
-      let q =
-        Hac_query.Planner.optimize ~report
-          ~cost:(Hac_query.Planner.calibrated ~measured:(term_cost ?under ctx))
-          q
-      in
-      let probe = Search.new_probe () in
-      let result = Search.eval_with (evaluator_in pass ctx) ~probe ?restrict_to ?under q in
-      Instr.flush_probe i probe;
-      Hac_obs.Trace.set_attr_int i.Instr.tracer "terms" probe.Search.terms;
-      Hac_obs.Trace.set_attr_int i.Instr.tracer "verified" probe.Search.docs_verified;
-      result)
-
-let eval_query (ctx : Ctx.t) ?restrict_to q =
-  eval_query_in (fresh_pass ctx) ctx ?restrict_to q
-
-(* -- worker-domain evaluation ---------------------------------------------
-
-   Worker domains may not touch the tracer, the metrics registry, the result
+   An evaluation may not touch the tracer, the metrics registry, the result
    cache or the pass scope table — everything observable accumulates in a
-   per-task [par_acc], merged on the main domain at the level barrier. *)
+   per-task [acc], merged on the calling domain at the level barrier. *)
 
-type par_acc = {
+type acc = {
   acc_probe : Search.probe;
   mutable acc_chains : int;
   mutable acc_reordered : int;
@@ -268,7 +215,7 @@ type par_acc = {
   mutable acc_scoped : int;
 }
 
-let new_par_acc () =
+let new_acc () =
   {
     acc_probe = Search.new_probe ();
     acc_chains = 0;
@@ -277,7 +224,7 @@ let new_par_acc () =
     acc_scoped = 0;
   }
 
-let merge_par_acc (ctx : Ctx.t) acc =
+let merge_acc (ctx : Ctx.t) acc =
   let i = ctx.instr in
   Instr.flush_probe i acc.acc_probe;
   Hac_obs.Metrics.incr ~by:acc.acc_chains i.Instr.planner_chains;
@@ -285,7 +232,12 @@ let merge_par_acc (ctx : Ctx.t) acc =
   Hac_obs.Metrics.incr ~by:acc.acc_cost_saved i.Instr.planner_cost_saved;
   Hac_obs.Metrics.incr ~by:acc.acc_scoped i.Instr.planner_scoped_chains
 
-let eval_query_par pass (ctx : Ctx.t) acc ?restrict_to ?under q =
+(* [?under] is the scope-pushdown hint: the (normalized, absolute) directory
+   the final result will be intersected below.  It sharpens both the cost
+   model (partition-scoped cardinalities) and candidate generation (the CAS
+   index skips partitions that cannot intersect the scope) — sound only
+   because the caller intersects with a subtree scope at or below it. *)
+let eval_query pass (ctx : Ctx.t) acc ?restrict_to ?under q =
   let report ~chosen ~naive ~terms:_ =
     acc.acc_chains <- acc.acc_chains + 1;
     if chosen < naive then begin
@@ -299,8 +251,7 @@ let eval_query_par pass (ctx : Ctx.t) acc ?restrict_to ?under q =
       ~cost:(Hac_query.Planner.calibrated ~measured:(term_cost ?under ctx))
       q
   in
-  let ev = make_evaluator pass ctx ~shared:true in
-  Search.eval_with ev ~probe:acc.acc_probe ?restrict_to ?under q
+  Search.eval_with (make_evaluator pass ctx) ~probe:acc.acc_probe ?restrict_to ?under q
 
 (* -- metadata persistence --------------------------------------------------
 
@@ -356,7 +307,8 @@ let persist_semdir (ctx : Ctx.t) (sd : Semdir.t) =
       (* Sealed whole, so a torn write leaves a detectably-damaged file
          rather than a silently truncated query or link set. *)
       List.iter2 (Fs.write_file ctx.fs) (meta_files sd.Semdir.uid)
-        (List.map Seal.seal_blob [ query_data; links_data; proh_data; result_data ]))
+        (List.map Hac_store.Seal.seal_blob
+           [ query_data; links_data; proh_data; result_data ]))
 
 let unpersist_semdir (ctx : Ctx.t) uid =
   Ctx.with_maintenance ctx (fun () ->
@@ -499,7 +451,7 @@ let recompute_deps (ctx : Ctx.t) (sd : Semdir.t) =
   Depgraph.set_deps ctx.deps sd.Semdir.uid (parent @ Ast.dir_uids sd.Semdir.query)
 
 (* Expand the stored transient result into physical symbolic links.  Called
-   lazily on first access through HAC, and by [resync_dir] to keep an
+   lazily on first access through HAC; every re-evaluation then keeps an
    already-materialised directory consistent. *)
 let create_transient_link (ctx : Ctx.t) (sd : Semdir.t) ~path ~target ~name_hint =
   let taken name = Fs.lexists ctx.fs (Vpath.join path name) in
@@ -559,10 +511,10 @@ let fingerprint (sd : Semdir.t) = Ast.to_string sd.Semdir.query
 (* The scope-pushdown hint for a directory's evaluation: the parent's path,
    but only when the parent is a {e plain} directory.  Then the parent
    scope's [local] is exactly [subtree_docs] of that path, so the
-   [Fileset.inter _ pscope.local] in [resync_dir_in] discharges the
-   soundness obligation of [?under] — every kept document lives under the
-   hint.  A semdir parent's scope also carries its own query result and
-   permanent links, which are not confined to its subtree, so no hint. *)
+   [Fileset.inter _ within] in [evaluate] discharges the soundness
+   obligation of [?under] — every kept document lives under the hint.  A
+   semdir parent's scope also carries its own query result and permanent
+   links, which are not confined to its subtree, so no hint. *)
 let under_hint (ctx : Ctx.t) uid =
   match parent_uid ctx uid with
   | None -> None
@@ -571,316 +523,290 @@ let under_hint (ctx : Ctx.t) uid =
       | None, Some path -> Some (Vpath.normalize path)
       | _ -> None)
 
-(* [?known_local] short-circuits steps 1–2 with a precomputed local result
-   (a parallel level already evaluated and exclusion-filtered it, or the
-   pre-stage found it in the result cache); everything that writes — the
-   remote part, link patching, generation bumps, persistence — still runs
-   here, on the main domain, exactly as in the sequential engine. *)
-let resync_dir_in ?known_local pass (ctx : Ctx.t) uid =
-  match (Ctx.semdir_of_uid ctx uid, Uidmap.path_of_uid ctx.uids uid) with
-  | None, _ | _, None -> false
-  | Some sd, Some path ->
-      let pscope =
-        match parent_uid ctx uid with
-        | Some p -> scope_in pass ctx p
-        | None -> { local = Fileset.empty; remote = []; mount_uids = [] }
+let parent_scope pass (ctx : Ctx.t) uid =
+  match parent_uid ctx uid with
+  | Some p -> scope_in pass ctx p
+  | None -> { local = Fileset.empty; remote = []; mount_uids = [] }
+
+(* Write back one directory's re-evaluation, given its new local result
+   (steps 1–2, computed by the level engine below): the remote part, link
+   patching, generation bumps, the result cache and persistence — everything
+   that writes, on the calling domain. *)
+let apply_full pass (ctx : Ctx.t) (sd : Semdir.t) ~path ~pscope ~fp new_local =
+  let uid = sd.Semdir.uid in
+  let prohibited key = Semdir.is_prohibited sd key in
+  let permanent_key key =
+    List.exists
+      (fun l -> Link.target_key l.Link.target = key)
+      (Semdir.links_of_cls sd Link.Permanent)
+  in
+  (* 3. New remote result: inherited parent links that match, plus fresh
+        results from visible mount points; same exclusions.  Namespace
+        failures are collected rather than propagated — a re-evaluation
+        must never be broken by a flaky remote.  With no remote scope at
+        all (no inherited remote links, no visible mounts) the result is
+        empty by construction — no namespace is consulted, so no failure
+        and no stale re-serve can occur. *)
+  let new_remote =
+    if pscope.remote = [] && pscope.mount_uids = [] then []
+    else begin
+      let failed = Hashtbl.create 4 in
+      let note_failure ns_id reason =
+        ctx.remote_failures <- ctx.remote_failures + 1;
+        if not (Hashtbl.mem failed ns_id) then Hashtbl.replace failed ns_id reason
       in
-      let prohibited key = Semdir.is_prohibited sd key in
-      let permanent_key key =
-        List.exists
-          (fun l -> Link.target_key l.Link.target = key)
-          (Semdir.links_of_cls sd Link.Permanent)
-      in
-      (* 1–2. The local result: evaluate the query over the parent's scope,
-            then drop files physically inside this directory (already "in"
-            it), the prohibited ones, and the permanent ones (section 2.3:
-            HAC never touches those sets).  This set is the paper's
-            per-directory result bitmap — and exactly what the result cache
-            memoizes: on a generation-fresh hit both the evaluation and the
-            exclusion filtering are skipped. *)
-      let fp = fingerprint sd in
-      let new_local =
-        match known_local with
-        | Some r -> r
-        | None -> (
-            match
-              Rescache.find ctx.rescache ~uid ~fingerprint:fp
-                ~generation:ctx.scope_generation
-            with
-            | Some r -> r
-            | None ->
-                let matched =
-                  Fileset.inter
-                    (eval_query_in pass ctx ?under:(under_hint ctx uid) sd.Semdir.query)
-                    pscope.local
-                in
-                exclusion_filter ctx sd ~path matched)
-      in
-      (* 3. New remote result: inherited parent links that match, plus fresh
-            results from visible mount points; same exclusions.  Namespace
-            failures are collected rather than propagated — a re-evaluation
-            must never be broken by a flaky remote.  With no remote scope at
-            all (no inherited remote links, no visible mounts) the result is
-            empty by construction — no namespace is consulted, so no failure
-            and no stale re-serve can occur. *)
-      let new_remote =
-        if pscope.remote = [] && pscope.mount_uids = [] then []
-        else begin
-          let failed = Hashtbl.create 4 in
-          let note_failure ns_id reason =
-            ctx.remote_failures <- ctx.remote_failures + 1;
-            if not (Hashtbl.mem failed ns_id) then Hashtbl.replace failed ns_id reason
-          in
-          let remote_acc = ref [] in
-          let seen_remote = Hashtbl.create 8 in
-          let consider_remote ~stale ~ns_id ~uri ~name =
-            if
-              (not (Hashtbl.mem seen_remote uri))
-              && (not (prohibited uri))
-              && not (permanent_key uri)
-            then begin
-              Hashtbl.replace seen_remote uri ();
-              if stale then ctx.stale_serves <- ctx.stale_serves + 1;
-              remote_acc :=
-                { Semdir.rr_ns = ns_id; rr_uri = uri; rr_name = name; rr_stale = stale }
-                :: !remote_acc
-            end
-          in
-          List.iter
-            (fun target ->
-              match target with
-              | Link.Remote { ns_id; uri } ->
-                  if
-                    remote_matches ~on_failure:note_failure ctx sd.Semdir.query
-                      ~name:(Link.display_name target) ~ns_id ~uri
-                  then
-                    consider_remote ~stale:false ~ns_id ~uri ~name:(Link.display_name target)
-              | Link.Local _ -> ())
-            pscope.remote;
-          List.iter
-            (fun (target, name) ->
-              match target with
-              | Link.Remote { ns_id; uri } -> consider_remote ~stale:false ~ns_id ~uri ~name
-              | Link.Local _ -> ())
-            (mount_results ~on_failure:note_failure ctx sd.Semdir.query pscope.mount_uids);
-          (* Graceful degradation: a namespace that failed this round keeps
-             its last-good entries — re-served from the previous result and
-             marked stale — instead of silently vanishing from the
-             directory.  Fresh answers (e.g. inherited through the parent)
-             win the dedup. *)
-          if Hashtbl.length failed > 0 then
-            List.iter
-              (fun r ->
-                if Hashtbl.mem failed r.Semdir.rr_ns then
-                  consider_remote ~stale:true ~ns_id:r.Semdir.rr_ns ~uri:r.Semdir.rr_uri
-                    ~name:r.Semdir.rr_name)
-              sd.Semdir.transient_remote;
-          List.rev !remote_acc
+      let remote_acc = ref [] in
+      let seen_remote = Hashtbl.create 8 in
+      let consider_remote ~stale ~ns_id ~uri ~name =
+        if
+          (not (Hashtbl.mem seen_remote uri))
+          && (not (prohibited uri))
+          && not (permanent_key uri)
+        then begin
+          Hashtbl.replace seen_remote uri ();
+          if stale then ctx.stale_serves <- ctx.stale_serves + 1;
+          remote_acc :=
+            { Semdir.rr_ns = ns_id; rr_uri = uri; rr_name = name; rr_stale = stale }
+            :: !remote_acc
         end
       in
-      let changed =
-        (not (Fileset.equal new_local sd.Semdir.transient_local))
-        || new_remote <> sd.Semdir.transient_remote
-      in
-      Hac_obs.Metrics.incr ctx.instr.Instr.sync_dirs;
-      if changed then Hac_obs.Metrics.incr ctx.instr.Instr.sync_changed;
-      sd.Semdir.transient_local <- new_local;
-      sd.Semdir.transient_remote <- new_remote;
-      (* 4. A directory whose links are already expanded must stay
-            physically consistent: diff and patch its transient symlinks. *)
-      if sd.Semdir.materialized then begin
-        let desired = Hashtbl.create 32 in
-        Fileset.iter
-          (fun id ->
-            match Index.doc_path ctx.index id with
-            | Some p -> Hashtbl.replace desired p (Link.Local p, None)
-            | None -> ())
-          new_local;
+      List.iter
+        (fun target ->
+          match target with
+          | Link.Remote { ns_id; uri } ->
+              if
+                remote_matches ~on_failure:note_failure ctx sd.Semdir.query
+                  ~name:(Link.display_name target) ~ns_id ~uri
+              then
+                consider_remote ~stale:false ~ns_id ~uri ~name:(Link.display_name target)
+          | Link.Local _ -> ())
+        pscope.remote;
+      List.iter
+        (fun (target, name) ->
+          match target with
+          | Link.Remote { ns_id; uri } -> consider_remote ~stale:false ~ns_id ~uri ~name
+          | Link.Local _ -> ())
+        (mount_results ~on_failure:note_failure ctx sd.Semdir.query pscope.mount_uids);
+      (* Graceful degradation: a namespace that failed this round keeps
+         its last-good entries — re-served from the previous result and
+         marked stale — instead of silently vanishing from the
+         directory.  Fresh answers (e.g. inherited through the parent)
+         win the dedup. *)
+      if Hashtbl.length failed > 0 then
         List.iter
           (fun r ->
-            Hashtbl.replace desired r.Semdir.rr_uri
-              (Link.Remote { ns_id = r.Semdir.rr_ns; uri = r.Semdir.rr_uri }, Some r.Semdir.rr_name))
-          new_remote;
-        Ctx.with_maintenance ctx (fun () ->
-            List.iter
-              (fun l ->
-                let key = Link.target_key l.Link.target in
-                if Hashtbl.mem desired key then Hashtbl.remove desired key
-                else begin
-                  ignore (Semdir.remove_link sd l.Link.name);
-                  let lpath = Vpath.join path l.Link.name in
-                  if Fs.is_symlink ctx.fs lpath then Fs.unlink ctx.fs lpath
-                end)
-              (Semdir.links_of_cls sd Link.Transient);
-            Hashtbl.iter
-              (fun _key (target, name_hint) ->
-                create_transient_link ctx sd ~path ~target ~name_hint)
-              desired)
-      end;
-      if changed then begin
-        (* Any later directory in this pass evaluating against stale state
-           would be wrong: its cached result and this directory's memoized
-           scope both reflect the pre-change world. *)
-        Ctx.bump_generation ctx;
-        Hashtbl.remove pass.scopes uid
-      end;
-      Rescache.store ctx.rescache ~uid ~fingerprint:fp ~generation:ctx.scope_generation
-        new_local;
-      let first_sync = sd.Semdir.last_synced = 0 in
-      ctx.sync_stamp <- ctx.sync_stamp + 1;
-      sd.Semdir.last_synced <- ctx.sync_stamp;
-      (* The paper persists after every re-evaluation; nothing is lost by
-         skipping the write when neither the result nor the link/prohibition
-         metadata moved since the last one. *)
-      if changed || sd.Semdir.meta_dirty || first_sync then begin
-        persist_semdir ctx sd;
-        sd.Semdir.meta_dirty <- false
-      end;
-      changed
+            if Hashtbl.mem failed r.Semdir.rr_ns then
+              consider_remote ~stale:true ~ns_id:r.Semdir.rr_ns ~uri:r.Semdir.rr_uri
+                ~name:r.Semdir.rr_name)
+          sd.Semdir.transient_remote;
+      List.rev !remote_acc
+    end
+  in
+  let changed =
+    (not (Fileset.equal new_local sd.Semdir.transient_local))
+    || new_remote <> sd.Semdir.transient_remote
+  in
+  Hac_obs.Metrics.incr ctx.instr.Instr.sync_dirs;
+  if changed then Hac_obs.Metrics.incr ctx.instr.Instr.sync_changed;
+  sd.Semdir.transient_local <- new_local;
+  sd.Semdir.transient_remote <- new_remote;
+  (* 4. A directory whose links are already expanded must stay
+        physically consistent: diff and patch its transient symlinks. *)
+  if sd.Semdir.materialized then begin
+    let desired = Hashtbl.create 32 in
+    Fileset.iter
+      (fun id ->
+        match Index.doc_path ctx.index id with
+        | Some p -> Hashtbl.replace desired p (Link.Local p, None)
+        | None -> ())
+      new_local;
+    List.iter
+      (fun r ->
+        Hashtbl.replace desired r.Semdir.rr_uri
+          (Link.Remote { ns_id = r.Semdir.rr_ns; uri = r.Semdir.rr_uri }, Some r.Semdir.rr_name))
+      new_remote;
+    Ctx.with_maintenance ctx (fun () ->
+        List.iter
+          (fun l ->
+            let key = Link.target_key l.Link.target in
+            if Hashtbl.mem desired key then Hashtbl.remove desired key
+            else begin
+              ignore (Semdir.remove_link sd l.Link.name);
+              let lpath = Vpath.join path l.Link.name in
+              if Fs.is_symlink ctx.fs lpath then Fs.unlink ctx.fs lpath
+            end)
+          (Semdir.links_of_cls sd Link.Transient);
+        Hashtbl.iter
+          (fun _key (target, name_hint) ->
+            create_transient_link ctx sd ~path ~target ~name_hint)
+          desired)
+  end;
+  if changed then begin
+    (* Any later directory in this pass evaluating against stale state
+       would be wrong: its cached result and this directory's memoized
+       scope both reflect the pre-change world. *)
+    Ctx.bump_generation ctx;
+    Hashtbl.remove pass.scopes uid
+  end;
+  Rescache.store ctx.rescache ~uid ~fingerprint:fp ~generation:ctx.scope_generation
+    new_local;
+  let first_sync = sd.Semdir.last_synced = 0 in
+  ctx.sync_stamp <- ctx.sync_stamp + 1;
+  sd.Semdir.last_synced <- ctx.sync_stamp;
+  (* The paper persists after every re-evaluation; nothing is lost by
+     skipping the write when neither the result nor the link/prohibition
+     metadata moved since the last one. *)
+  if changed || sd.Semdir.meta_dirty || first_sync then begin
+    persist_semdir ctx sd;
+    sd.Semdir.meta_dirty <- false
+  end
 
-let resync_dir (ctx : Ctx.t) uid =
-  let pass = fresh_pass ctx in
-  let r = resync_dir_in pass ctx uid in
-  flush_pass ctx pass;
-  r
-
-(* -- parallel level scheduling --------------------------------------------
+(* -- the level engine -----------------------------------------------------
 
    The scope-consistency algorithm orders re-evaluation only along
    dependency edges; directories in the same dependency level (an antichain
    of {!Depgraph.levels}) are mutually independent, so their expensive,
-   read-only query evaluations can run concurrently.  Each level runs in
-   three phases:
+   read-only query evaluations can run concurrently.  Every pass — full,
+   from one directory, or delta — runs each level in three phases:
 
-   1. {e pre-stage} (main domain): resolve each semdir, warm every scope its
-      evaluation can read into the pass table, consult the result cache;
-   2. {e evaluate} (domain pool): query evaluation + exclusion filtering for
-      the cache misses, against the frozen index and the warmed read-only
-      scope view, accumulating observability into per-task [par_acc]s;
-   3. {e apply} (main domain, level order): everything that writes — remote
-      results, link patching, generation bumps, result-cache stores,
-      metadata persistence — through the same [resync_dir_in] the
-      sequential engine uses, seeded with the precomputed local result.
+   1. {e pre-stage} (calling domain): resolve each semdir, consult the
+      result cache or the delta candidates, and only for a directory that
+      will actually be evaluated warm every scope its evaluation can read
+      into the pass table;
+   2. {e evaluate} ({!Hac_par.Pool.map_timed}): query evaluation + exclusion
+      filtering, against the frozen index and the warmed read-only scope
+      view, accumulating observability into per-task [acc]s;
+   3. {e apply} (calling domain, level order): merge the accumulators, emit
+      one [query.eval] span per evaluation, then everything that writes.
 
-   Within a level no directory depends on another, so apply order cannot
-   change any level result, and the final state is byte-identical to the
-   sequential pass (see docs/parallelism.md for the full argument and
-   test/test_parallel.ml for the differential check). *)
+   A missing or size-1 pool runs phase 2 inline on the caller; there is no
+   other sequential path.  Within a level no directory depends on another,
+   so neither the width nor the apply order can change any level result
+   (see docs/parallelism.md for the argument and test/test_parallel.ml for
+   the differential check across widths). *)
 
-type 'a level_job = Lskip | Lhit of Fileset.t | Leval of 'a
+type task = {
+  sd : Semdir.t;
+  path : string;
+  within : Fileset.t;  (* the result is intersected with this set *)
+  restrict_to : Fileset.t option;
+  under : string option;
+}
 
-let level_prestage pass (ctx : Ctx.t) ~use_rescache uid =
-  match (Ctx.semdir_of_uid ctx uid, Uidmap.path_of_uid ctx.uids uid) with
-  | None, _ | _, None -> Lskip
-  | Some sd, Some path ->
-      (* Warm every scope this directory's evaluation reads (its parent and
-         its dirref dependencies), so worker domains only ever read the
-         pass table. *)
-      List.iter (fun d -> ignore (scope_in pass ctx d)) (Depgraph.deps ctx.deps uid);
-      let pscope =
-        match parent_uid ctx uid with
-        | Some p -> scope_in pass ctx p
-        | None -> { local = Fileset.empty; remote = []; mount_uids = [] }
-      in
-      if use_rescache then
-        match
-          Rescache.find ctx.rescache ~uid ~fingerprint:(fingerprint sd)
-            ~generation:ctx.scope_generation
-        with
-        | Some r -> Lhit r
-        | None -> Leval (sd, path, pscope, under_hint ctx uid)
-      else Leval (sd, path, pscope, under_hint ctx uid)
+(* What the pre-stage decided for one directory: its local result is
+   already known (result-cache hit, or provably empty), or must be
+   evaluated.  The pre-stage pairs it with the closure that writes the
+   result back in phase 3. *)
+type job = Known of Fileset.t | Eval of task
 
-let note_level (ctx : Ctx.t) ~tasks =
-  Hac_obs.Metrics.incr ctx.instr.Instr.par_levels;
-  Hac_obs.Metrics.incr ~by:tasks ctx.instr.Instr.par_tasks
+let evaluate pass (ctx : Ctx.t) t =
+  let acc = new_acc () in
+  let matched =
+    Fileset.inter
+      (eval_query pass ctx acc ?restrict_to:t.restrict_to ?under:t.under t.sd.Semdir.query)
+      t.within
+  in
+  (exclusion_filter ctx t.sd ~path:t.path matched, acc)
 
-(* One level of a full pass: evaluate all cache-missing directories on the
-   pool, then apply every directory of the level in UID order. *)
-let run_level_full pool pass (ctx : Ctx.t) level =
-  let jobs = List.map (fun uid -> (uid, level_prestage pass ctx ~use_rescache:true uid)) level in
+(* Warm every scope a directory's evaluation reads (its parent and its
+   dirref dependencies), so evaluations only ever read the pass table. *)
+let warm_deps pass (ctx : Ctx.t) uid =
+  List.iter (fun d -> ignore (scope_in pass ctx d)) (Depgraph.deps ctx.deps uid)
+
+let inline_pool = Hac_par.Pool.create ()
+
+let run_level pool pass (ctx : Ctx.t) prestage level =
+  let jobs = List.filter_map (prestage pass ctx) level in
   let tasks =
-    Array.of_list
-      (List.filter_map
-         (function
-           | uid, Leval (sd, path, pscope, under) -> Some (uid, sd, path, pscope, under)
-           | _, (Lskip | Lhit _) -> None)
-         jobs)
+    Array.of_list (List.filter_map (function Eval t, _ -> Some t | Known _, _ -> None) jobs)
   in
-  let results =
-    Hac_par.Pool.map pool
-      (fun (uid, sd, path, pscope, under) ->
-        let acc = new_par_acc () in
-        let matched =
-          Fileset.inter (eval_query_par pass ctx acc ?under sd.Semdir.query) pscope.local
-        in
-        (uid, exclusion_filter ctx sd ~path matched, acc))
-      tasks
-  in
-  (* Level barrier: merge the per-task accumulators on the main domain. *)
-  let computed = Hashtbl.create (max 16 (Array.length tasks)) in
-  Array.iter
-    (fun (uid, local, acc) ->
-      Hashtbl.replace computed uid local;
-      merge_par_acc ctx acc)
+  let results, cpu = Hac_par.Pool.map_timed pool (evaluate pass ctx) tasks in
+  (* Level barrier: fold the per-task accumulators and spans in on the
+     calling domain, parent-linked to the pass span. *)
+  let i = ctx.instr in
+  let tr = i.Instr.tracer in
+  let parent = Hac_obs.Trace.current tr and now = Hac_fault.Clock.now ctx.clock in
+  Array.iteri
+    (fun k (_, acc) ->
+      merge_acc ctx acc;
+      if Hac_obs.Trace.enabled tr then
+        ignore
+          (Hac_obs.Trace.emit tr ?parent
+             ~attrs:
+               [
+                 ("verified", string_of_int acc.acc_probe.Search.docs_verified);
+                 ("terms", string_of_int acc.acc_probe.Search.terms);
+               ]
+             ~name:"query.eval" ~vstart:now ~vstop:now ~cpu_s:cpu.(k) ()))
     results;
-  note_level ctx ~tasks:(Array.length tasks);
+  if Hac_par.Pool.size pool > 1 then begin
+    Hac_obs.Metrics.incr i.Instr.par_levels;
+    Hac_obs.Metrics.incr ~by:(Array.length tasks) i.Instr.par_tasks
+  end;
+  let k = ref 0 in
   List.iter
-    (fun (uid, job) ->
-      let known_local =
-        match job with
-        | Lskip -> None
-        | Lhit r -> Some r
-        | Leval _ -> Some (Hashtbl.find computed uid)
-      in
-      ignore (resync_dir_in ?known_local pass ctx uid))
+    (fun (job, apply) ->
+      match job with
+      | Known r -> apply r
+      | Eval _ ->
+          apply (fst results.(!k));
+          incr k)
     jobs
 
-let run_levels_full pool pass ctx levels =
-  Hac_obs.Metrics.set ctx.Ctx.instr.Instr.par_domains
-    (float_of_int (Hac_par.Pool.size pool));
-  List.iter (fun level -> run_level_full pool pass ctx level) levels
+(* One pass over the given levels; returns how many directories it
+   scheduled. *)
+let run_pass ?(pool = inline_pool) (ctx : Ctx.t) prestage levels =
+  if Hac_par.Pool.size pool > 1 then
+    Hac_obs.Metrics.set ctx.instr.Instr.par_domains (float_of_int (Hac_par.Pool.size pool));
+  let pass = fresh_pass ctx in
+  List.iter (run_level pool pass ctx prestage) levels;
+  flush_pass ctx pass;
+  List.fold_left (fun acc l -> acc + List.length l) 0 levels
 
-let sync_from ?pool (ctx : Ctx.t) uid =
-  let i = ctx.instr in
-  Hac_obs.Trace.with_span i.Instr.tracer ~name:"sync.from" (fun () ->
-      Hac_obs.Metrics.incr i.Instr.sync_from;
-      let pass = fresh_pass ctx in
-      ignore (resync_dir_in pass ctx uid);
-      let affected = Depgraph.affected ctx.deps uid in
-      (match pool with
-      | Some p when Hac_par.Pool.size p > 1 ->
-          run_levels_full p pass ctx (Depgraph.levels_of ctx.deps affected)
-      | Some _ | None -> List.iter (fun u -> ignore (resync_dir_in pass ctx u)) affected);
-      flush_pass ctx pass;
-      Hac_obs.Metrics.observe i.Instr.pass_dirs (float_of_int (1 + List.length affected));
-      Hac_obs.Trace.set_attr_int i.Instr.tracer "dirs" (1 + List.length affected))
-
-let sync_all ?pool (ctx : Ctx.t) =
-  let i = ctx.instr in
-  Hac_obs.Trace.with_span i.Instr.tracer ~name:"sync.full" (fun () ->
-      Hac_obs.Metrics.incr i.Instr.sync_full;
-      let pass = fresh_pass ctx in
-      let n_dirs =
-        match pool with
-        | Some p when Hac_par.Pool.size p > 1 ->
-            let levels = Depgraph.levels ctx.deps in
-            run_levels_full p pass ctx levels;
-            List.fold_left (fun acc l -> acc + List.length l) 0 levels
-        | Some _ | None ->
-            let dirs = Depgraph.topo_all ctx.deps in
-            List.iter (fun u -> ignore (resync_dir_in pass ctx u)) dirs;
-            List.length dirs
+(* Steps 1–2 of a full re-evaluation.  The local result is the query
+   evaluated over the parent's scope, minus files physically inside this
+   directory (already "in" it), the prohibited ones, and the permanent ones
+   (section 2.3: HAC never touches those sets).  This set is the paper's
+   per-directory result bitmap — and exactly what the result cache
+   memoizes: on a generation-fresh hit both the evaluation and the
+   exclusion filtering are skipped. *)
+let prestage_full pass (ctx : Ctx.t) uid =
+  match (Ctx.semdir_of_uid ctx uid, Uidmap.path_of_uid ctx.uids uid) with
+  | None, _ | _, None -> None
+  | Some sd, Some path ->
+      let pscope = parent_scope pass ctx uid in
+      let fp = fingerprint sd in
+      let job =
+        match Rescache.find ctx.rescache ~uid ~fingerprint:fp ~generation:ctx.scope_generation with
+        | Some r -> Known r
+        | None ->
+            warm_deps pass ctx uid;
+            Eval { sd; path; within = pscope.local; restrict_to = None; under = under_hint ctx uid }
       in
-      flush_pass ctx pass;
+      Some (job, apply_full pass ctx sd ~path ~pscope ~fp)
+
+let pass_span (ctx : Ctx.t) ~name ~counter run =
+  let i = ctx.instr in
+  Hac_obs.Trace.with_span i.Instr.tracer ~name (fun () ->
+      Hac_obs.Metrics.incr counter;
+      let n_dirs = run () in
       Hac_obs.Metrics.observe i.Instr.pass_dirs (float_of_int n_dirs);
       Hac_obs.Trace.set_attr_int i.Instr.tracer "dirs" n_dirs)
+
+let sync_from ?pool (ctx : Ctx.t) uid =
+  pass_span ctx ~name:"sync.from" ~counter:ctx.instr.Instr.sync_from (fun () ->
+      (* The start directory is the only one of the set without a
+         dependency inside it, so it forms the first level on its own. *)
+      run_pass ?pool ctx prestage_full
+        (Depgraph.levels_of ctx.deps (uid :: Depgraph.affected ctx.deps uid)))
+
+let sync_all ?pool (ctx : Ctx.t) =
+  pass_span ctx ~name:"sync.full" ~counter:ctx.instr.Instr.sync_full (fun () ->
+      run_pass ?pool ctx prestage_full (Depgraph.levels ctx.deps))
 
 (* -- data consistency (section 2.4) --------------------------------------- *)
 
 type delta = { touched : Fileset.t; removed : Fileset.t }
-
-let empty_delta = { touched = Fileset.empty; removed = Fileset.empty }
 
 let reindex_with_delta (ctx : Ctx.t) ?under () =
   let i = ctx.instr in
@@ -982,138 +908,79 @@ let reindex (ctx : Ctx.t) ?under () = fst (reindex_with_delta ctx ?under ())
    [sync_all].  That fallback is also the property-test oracle: both paths
    must reach the same transient-link fixpoint. *)
 
-(* [?known_adds] plays the same role as [resync_dir_in]'s [?known_local]: a
-   parallel level already evaluated the restricted query and
-   exclusion-filtered the additions, so only the (sequential) application
-   remains. *)
-let resync_dir_delta ?known_adds pass (ctx : Ctx.t) ~touched ~removed uid =
-  match (Ctx.semdir_of_uid ctx uid, Uidmap.path_of_uid ctx.uids uid) with
-  | None, _ | _, None -> ()
-  | Some sd, Some path ->
-      let pscope =
-        match parent_uid ctx uid with
-        | Some p -> scope_in pass ctx p
-        | None -> { local = Fileset.empty; remote = []; mount_uids = [] }
-      in
-      let delta_all = Fileset.union touched removed in
-      (* Docs whose verdict must be (re)computed, and current members whose
-         verdict may have been lost (dropped from the parent scope, or from
-         the index altogether). *)
-      let candidates = Fileset.inter touched pscope.local in
-      let stale = Fileset.inter delta_all sd.Semdir.transient_local in
-      if not (Fileset.is_empty candidates && Fileset.is_empty stale) then begin
-        Hac_obs.Metrics.incr ctx.instr.Instr.sync_dirs;
-        let adds =
-          match known_adds with
-          | Some a -> a
-          | None ->
-              let matched =
-                Fileset.inter
-                  (eval_query_in pass ctx ~restrict_to:candidates sd.Semdir.query)
-                  candidates
-              in
-              exclusion_filter ctx sd ~path matched
-        in
-        let old_local = sd.Semdir.transient_local in
-        let new_local = Fileset.union adds (Fileset.diff old_local delta_all) in
-        let changed = not (Fileset.equal new_local old_local) in
-        if changed then Hac_obs.Metrics.incr ctx.instr.Instr.sync_changed;
-        if changed then begin
-          sd.Semdir.transient_local <- new_local;
-          if sd.Semdir.materialized then
-            Ctx.with_maintenance ctx (fun () ->
-                (* Drop transient links whose target left the result or the
-                   index; only delta documents can be affected, but removed
-                   documents no longer map back to an id, so walk the links
-                   and keep exactly those still in the result. *)
-                List.iter
-                  (fun l ->
-                    match l.Link.target with
-                    | Link.Local p ->
-                        let keep =
-                          match Index.doc_of_path ctx.index p with
-                          | Some id -> Fileset.mem new_local id
-                          | None -> false
-                        in
-                        if not keep then begin
-                          ignore (Semdir.remove_link sd l.Link.name);
-                          let lpath = Vpath.join path l.Link.name in
-                          if Fs.is_symlink ctx.fs lpath then Fs.unlink ctx.fs lpath
-                        end
-                    | Link.Remote _ -> ())
-                  (Semdir.links_of_cls sd Link.Transient);
-                Fileset.iter
-                  (fun id ->
-                    match Index.doc_path ctx.index id with
-                    | Some p ->
-                        if Semdir.link_by_target sd (Link.Local p) = None then
-                          create_transient_link ctx sd ~path ~target:(Link.Local p)
-                            ~name_hint:None
-                    | None -> ())
-                  adds);
-          Ctx.bump_generation ctx;
-          Hashtbl.remove pass.scopes uid
-        end;
-        ctx.sync_stamp <- ctx.sync_stamp + 1;
-        sd.Semdir.last_synced <- ctx.sync_stamp;
-        if changed || sd.Semdir.meta_dirty then begin
-          persist_semdir ctx sd;
-          sd.Semdir.meta_dirty <- false
-        end
-      end
+(* Write back one directory's delta re-evaluation, given the
+   exclusion-filtered additions among its candidates. *)
+let apply_delta pass (ctx : Ctx.t) (sd : Semdir.t) ~path ~delta_all adds =
+  Hac_obs.Metrics.incr ctx.instr.Instr.sync_dirs;
+  let old_local = sd.Semdir.transient_local in
+  let new_local = Fileset.union adds (Fileset.diff old_local delta_all) in
+  let changed = not (Fileset.equal new_local old_local) in
+  if changed then begin
+    Hac_obs.Metrics.incr ctx.instr.Instr.sync_changed;
+    sd.Semdir.transient_local <- new_local;
+    if sd.Semdir.materialized then
+      Ctx.with_maintenance ctx (fun () ->
+          (* Drop transient links whose target left the result or the
+             index; only delta documents can be affected, but removed
+             documents no longer map back to an id, so walk the links and
+             keep exactly those still in the result. *)
+          List.iter
+            (fun l ->
+              match l.Link.target with
+              | Link.Local p ->
+                  let keep =
+                    match Index.doc_of_path ctx.index p with
+                    | Some id -> Fileset.mem new_local id
+                    | None -> false
+                  in
+                  if not keep then begin
+                    ignore (Semdir.remove_link sd l.Link.name);
+                    let lpath = Vpath.join path l.Link.name in
+                    if Fs.is_symlink ctx.fs lpath then Fs.unlink ctx.fs lpath
+                  end
+              | Link.Remote _ -> ())
+            (Semdir.links_of_cls sd Link.Transient);
+          Fileset.iter
+            (fun id ->
+              match Index.doc_path ctx.index id with
+              | Some p ->
+                  if Semdir.link_by_target sd (Link.Local p) = None then
+                    create_transient_link ctx sd ~path ~target:(Link.Local p) ~name_hint:None
+              | None -> ())
+            adds);
+    Ctx.bump_generation ctx;
+    Hashtbl.remove pass.scopes sd.Semdir.uid
+  end;
+  ctx.sync_stamp <- ctx.sync_stamp + 1;
+  sd.Semdir.last_synced <- ctx.sync_stamp;
+  if changed || sd.Semdir.meta_dirty then begin
+    persist_semdir ctx sd;
+    sd.Semdir.meta_dirty <- false
+  end
 
-(* One level of a delta pass.  Only directories whose parent scope actually
-   intersects the touched set carry an evaluation worth farming out; the
-   rest (including the pure-removal case) apply inline — their work is a
-   couple of set operations. *)
-let run_level_delta pool pass (ctx : Ctx.t) ~touched ~removed level =
-  let jobs =
-    List.map
-      (fun uid ->
-        match level_prestage pass ctx ~use_rescache:false uid with
-        | Lskip | Lhit _ -> (uid, Lskip)
-        | Leval (sd, path, pscope, _under) ->
-            (* Delta evaluations are already restricted to the touched set;
-               the partition hint would buy nothing on top. *)
-            let candidates = Fileset.inter touched pscope.local in
-            if Fileset.is_empty candidates then (uid, Lskip)
-            else (uid, Leval (sd, path, candidates)))
-      level
-  in
-  let tasks =
-    Array.of_list
-      (List.filter_map
-         (function
-           | uid, Leval (sd, path, candidates) -> Some (uid, sd, path, candidates)
-           | _, (Lskip | Lhit _) -> None)
-         jobs)
-  in
-  let results =
-    Hac_par.Pool.map pool
-      (fun (uid, sd, path, candidates) ->
-        let acc = new_par_acc () in
-        let matched =
-          Fileset.inter
-            (eval_query_par pass ctx acc ~restrict_to:candidates sd.Semdir.query)
-            candidates
+(* Only a directory with delta documents in its parent scope (candidates
+   whose verdict must be computed) or among its members (whose verdict may
+   have been lost: dropped from the parent scope, or from the index
+   altogether) has anything to do; with no candidates its additions are
+   empty and nothing is evaluated.  Delta evaluations are already
+   restricted to the candidates, so the partition hint would buy nothing on
+   top. *)
+let prestage_delta ~touched ~delta_all pass (ctx : Ctx.t) uid =
+  match (Ctx.semdir_of_uid ctx uid, Uidmap.path_of_uid ctx.uids uid) with
+  | None, _ | _, None -> None
+  | Some sd, Some path ->
+      let candidates = Fileset.inter touched (parent_scope pass ctx uid).local in
+      let stale = Fileset.inter delta_all sd.Semdir.transient_local in
+      if Fileset.is_empty candidates && Fileset.is_empty stale then None
+      else
+        let job =
+          if Fileset.is_empty candidates then Known Fileset.empty
+          else begin
+            warm_deps pass ctx uid;
+            Eval { sd; path; within = candidates; restrict_to = Some candidates; under = None }
+          end
         in
-        (uid, exclusion_filter ctx sd ~path matched, acc))
-      tasks
-  in
-  let computed = Hashtbl.create (max 16 (Array.length tasks)) in
-  Array.iter
-    (fun (uid, adds, acc) ->
-      Hashtbl.replace computed uid adds;
-      merge_par_acc ctx acc)
-    results;
-  note_level ctx ~tasks:(Array.length tasks);
-  List.iter
-    (fun (uid, job) ->
-      let known_adds =
-        match job with Leval _ -> Some (Hashtbl.find computed uid) | Lskip | Lhit _ -> None
-      in
-      resync_dir_delta ?known_adds pass ctx ~touched ~removed uid)
-    jobs
+        Some (job, apply_delta pass ctx sd ~path ~delta_all)
 
 let sync_delta ?pool (ctx : Ctx.t) delta =
   let i = ctx.instr in
@@ -1123,32 +990,10 @@ let sync_delta ?pool (ctx : Ctx.t) delta =
     sync_all ?pool ctx
   end
   else if not (Fileset.is_empty delta.touched && Fileset.is_empty delta.removed) then
-    Hac_obs.Trace.with_span i.Instr.tracer ~name:"sync.delta" (fun () ->
-        Hac_obs.Metrics.incr i.Instr.sync_delta;
-        let pass = fresh_pass ctx in
-        let n_dirs =
-          match pool with
-          | Some p when Hac_par.Pool.size p > 1 ->
-              let levels = Depgraph.levels ctx.deps in
-              Hac_obs.Metrics.set i.Instr.par_domains
-                (float_of_int (Hac_par.Pool.size p));
-              List.iter
-                (fun level ->
-                  run_level_delta p pass ctx ~touched:delta.touched ~removed:delta.removed
-                    level)
-                levels;
-              List.fold_left (fun acc l -> acc + List.length l) 0 levels
-          | Some _ | None ->
-              let dirs = Depgraph.topo_all ctx.deps in
-              List.iter
-                (fun uid ->
-                  resync_dir_delta pass ctx ~touched:delta.touched ~removed:delta.removed
-                    uid)
-                dirs;
-              List.length dirs
-        in
-        flush_pass ctx pass;
-        Hac_obs.Metrics.observe i.Instr.pass_dirs (float_of_int n_dirs);
-        Hac_obs.Trace.set_attr_int i.Instr.tracer "dirs" n_dirs;
+    pass_span ctx ~name:"sync.delta" ~counter:i.Instr.sync_delta (fun () ->
         Hac_obs.Trace.set_attr_int i.Instr.tracer "delta"
-          (Fileset.cardinal delta.touched + Fileset.cardinal delta.removed))
+          (Fileset.cardinal delta.touched + Fileset.cardinal delta.removed);
+        run_pass ?pool ctx
+          (prestage_delta ~touched:delta.touched
+             ~delta_all:(Fileset.union delta.touched delta.removed))
+          (Depgraph.levels ctx.deps))

@@ -3,33 +3,17 @@
     Scope consistency: for every semantic directory [sd] with parent [p],
     the transient links of [sd] are exactly the files of [p]'s provided
     scope that satisfy [sd]'s query, minus prohibited and permanent targets.
-    [resync_dir] re-establishes this for one directory; [sync_from]
-    propagates along the dependency DAG in topological order; [sync_all]
-    settles the whole file system.
+    [sync_from] re-establishes it for one directory and everything that
+    depends on it, [sync_all] for the whole file system, [sync_delta]
+    incrementally after a content-only change.  All three run one engine:
+    the dependency DAG is walked level by level
+    ({!Hac_depgraph.Depgraph.levels}), each level's query evaluations are
+    farmed out to a domain pool (inline when there is no pool, or it has
+    one slot) against the frozen index, and their results are applied in
+    level order on the calling domain.
 
     Data consistency: [reindex] brings the content index up to date with the
     dirty-path set accumulated from file system events. *)
-
-type scope = {
-  local : Hac_bitset.Fileset.t;  (** Local indexed documents in scope. *)
-  remote : Link.target list;  (** Remote targets inherited via parent links. *)
-  mount_uids : int list;  (** Semantic mount points visible in the scope. *)
-}
-(** What a directory provides to its semantic children. *)
-
-val provided_scope : Ctx.t -> int -> scope
-(** The scope provided by a directory (section 2.3): for the root, every
-    indexed file; for a syntactic directory, the indexed files of its
-    subtree; for a semantic directory, the targets of its present links plus
-    the indexed physical files of its subtree.  Mount points anywhere in the
-    subtree are visible. *)
-
-val eval_query :
-  Ctx.t -> ?restrict_to:Hac_bitset.Fileset.t -> Hac_query.Ast.t -> Hac_bitset.Fileset.t
-(** Evaluate a query against the local index with directory references
-    resolved through {!provided_scope}.  [?restrict_to] evaluates only over
-    the given documents (candidate expansion and content verification stay
-    inside the set); without it no scope restriction is applied. *)
 
 val render_for : Hac_remote.Namespace.lang -> Hac_query.Ast.t -> string list
 (** Query strings to submit to a namespace speaking the given language.  For
@@ -69,26 +53,23 @@ val fetch_remote :
 val materialize : Ctx.t -> Semdir.t -> unit
 (** Expand a directory's stored transient result (the bitmap) into physical
     symbolic links.  Idempotent; happens lazily on first access through HAC.
-    Once materialised, {!resync_dir} keeps the physical links consistent. *)
-
-val resync_dir : Ctx.t -> int -> bool
-(** Re-evaluate one semantic directory against its parent's current scope,
-    updating its physical transient links.  Permanent and prohibited sets
-    are never modified.  Returns whether the transient set changed.  No-op
-    ([false]) on syntactic directories. *)
+    Once materialised, every re-evaluation keeps the physical links
+    consistent. *)
 
 val sync_from : ?pool:Hac_par.Pool.t -> Ctx.t -> int -> unit
-(** [resync_dir] on the directory, then on every directory that directly or
-    indirectly depends on it, in topological order.  With a [pool] of size
-    > 1, the affected directories are processed level by level
-    ({!Hac_depgraph.Depgraph.levels_of}): each level's query evaluations run
-    concurrently on the pool against the frozen index, then their results
-    are applied sequentially — the outcome is identical to the sequential
-    walk. *)
+(** Re-evaluate one semantic directory against its parent's current scope,
+    then every directory that directly or indirectly depends on it, level by
+    level ({!Hac_depgraph.Depgraph.levels_of}; the directory itself is the
+    first level).  Permanent and prohibited sets are never modified;
+    materialised directories have their transient links patched.  No-op on
+    syntactic directories.  Each level's query evaluations run on [pool]
+    (default: inline, width 1) against the frozen index and are applied in
+    level order on the calling domain, so the outcome does not depend on
+    the pool's width. *)
 
 val sync_all : ?pool:Hac_par.Pool.t -> Ctx.t -> unit
-(** Re-evaluate every semantic directory, dependencies first.  [?pool] as in
-    {!sync_from}. *)
+(** Re-evaluate every semantic directory, level by level over
+    {!Hac_depgraph.Depgraph.levels}.  [?pool] as in {!sync_from}. *)
 
 type delta = {
   touched : Hac_bitset.Fileset.t;
@@ -97,8 +78,6 @@ type delta = {
       (** Documents dropped from the index (deleted or unreadable). *)
 }
 (** What one {!reindex_with_delta} changed — the input to {!sync_delta}. *)
-
-val empty_delta : delta
 
 val reindex : Ctx.t -> ?under:string -> unit -> int
 (** Settle data consistency for the dirty paths (optionally only those below
@@ -111,9 +90,10 @@ val reindex_with_delta : Ctx.t -> ?under:string -> unit -> int * delta
 
 val sync_delta : ?pool:Hac_par.Pool.t -> Ctx.t -> delta -> unit
 (** Incremental scope maintenance: restore the scope invariant after a
-    content-only change described by the delta.  Walks directories in
-    dependency order but re-evaluates each query {e only over the delta
-    documents in its parent scope}, patching the transient-link set — the
+    content-only change described by the delta.  Walks the same dependency
+    levels as {!sync_all}, on the same engine and [?pool], but re-evaluates
+    each query {e only over the delta documents in its parent scope} (a
+    directory with none has nothing evaluated), patching the transient-link set — the
     settle after [k] changed files costs O(k × affected dirs) instead of
     O(all docs × all dirs).  Remote results are left as they are (remote
     membership does not depend on local contents).  When

@@ -101,39 +101,6 @@ let would_cycle g uid new_deps =
       | Error _ -> assert false (* the old edges were acyclic *));
       false
 
-(* Kahn's algorithm restricted to [nodes]; ties broken by uid order for
-   determinism. *)
-let topo_of g nodes =
-  let in_deg = Hashtbl.create 64 in
-  let node_set = List.fold_left (fun s n -> IntSet.add n s) IntSet.empty nodes in
-  IntSet.iter
-    (fun n ->
-      let d = IntSet.cardinal (IntSet.inter (get g.out_edges n) node_set) in
-      Hashtbl.replace in_deg n d)
-    node_set;
-  let ready =
-    ref (IntSet.filter (fun n -> Hashtbl.find in_deg n = 0) node_set)
-  in
-  let order = ref [] in
-  while not (IntSet.is_empty !ready) do
-    let n = IntSet.min_elt !ready in
-    ready := IntSet.remove n !ready;
-    order := n :: !order;
-    IntSet.iter
-      (fun dependent ->
-        if IntSet.mem dependent node_set then begin
-          let d = Hashtbl.find in_deg dependent - 1 in
-          Hashtbl.replace in_deg dependent d;
-          if d = 0 then ready := IntSet.add dependent !ready
-        end)
-      (get g.in_edges n)
-  done;
-  List.rev !order
-
-let topo_all g =
-  let nodes = Hashtbl.fold (fun n _ acc -> n :: acc) g.out_edges [] in
-  topo_of g nodes
-
 (* Kahn's algorithm with the frontier drained a whole wave at a time: level k
    holds exactly the nodes whose longest dependency chain within [nodes] has
    length k, so everything a node depends on lives in a strictly earlier
@@ -172,20 +139,13 @@ let levels g =
   levels_of g nodes
 
 let affected g uid =
-  (* Transitive dependents via reverse edges, then topologically ordered. *)
-  let seen = Hashtbl.create 16 in
-  let rec collect n =
-    IntSet.iter
-      (fun dep ->
-        if not (Hashtbl.mem seen dep) then begin
-          Hashtbl.replace seen dep ();
-          collect dep
-        end)
-      (get g.in_edges n)
+  (* Transitive dependents via reverse edges. *)
+  let rec collect seen n =
+    IntSet.fold
+      (fun dep seen -> if IntSet.mem dep seen then seen else collect (IntSet.add dep seen) dep)
+      (get g.in_edges n) seen
   in
-  collect uid;
-  let nodes = Hashtbl.fold (fun n _ acc -> n :: acc) seen [] in
-  topo_of g nodes
+  IntSet.elements (collect IntSet.empty uid)
 
 let node_count g = Hashtbl.length g.out_edges
 

@@ -36,19 +36,17 @@ val dependents : t -> int -> int list
 
 val affected : t -> int -> int list
 (** Every UID whose result may change when the given UID's scope changes:
-    all transitive dependents, in topological order (dependencies before
-    dependents), excluding the start UID itself.  This is the re-evaluation
-    schedule of the scope-consistency algorithm. *)
-
-val topo_all : t -> int list
-(** Every node, dependencies before dependents. *)
+    all transitive dependents, sorted by UID, excluding the start UID
+    itself.  {!levels_of} turns it into the re-evaluation schedule of the
+    scope-consistency algorithm. *)
 
 val levels_of : t -> int list -> int list list
-(** [topo_of] grouped into antichain waves: level [k] holds the nodes of the
-    given set whose longest dependency chain (within the set) has length [k],
-    so every dependency of a node lives in a strictly earlier level and the
-    nodes of one level are mutually independent — safe to evaluate
-    concurrently.  Concatenating the levels yields a valid topological order
+(** A topological order of the given nodes, grouped into antichain waves
+    (Kahn's algorithm, one whole frontier at a time): level [k] holds the
+    nodes of the given set whose longest dependency chain (within the set)
+    has length [k], so every dependency of a node lives in a strictly
+    earlier level and the nodes of one level are mutually independent —
+    safe to evaluate concurrently.  Concatenating the levels yields a valid topological order
     of the set; each level is sorted by UID for determinism. *)
 
 val levels : t -> int list list

@@ -121,40 +121,36 @@ let run t f =
     match Atomic.get err with Some e -> reraise_task e | None -> ()
   end
 
-(* [map t f xs]: apply [f] to every element, work-stolen off a shared
-   counter so uneven task costs balance across domains.  Results keep their
-   input order.  With a 1-sized pool this is just [Array.map].  A failing
-   element stops its slot; the first failure (by race, not by index) is
-   re-raised as {!Task} with the *element* index attached, so a chaos-harness
-   crash names the request that caused it rather than an anonymous slot. *)
-let map t f xs =
+(* [mapi t f xs]: apply [f i xs.(i)] to every element, work-stolen off a
+   shared counter so uneven task costs balance across domains.  Results keep
+   their input order.  With a 1-sized pool [run] executes the same loop
+   inline on the caller.  A failing element stops its slot; the first
+   failure (by race, not by index) is re-raised as {!Task} with the
+   *element* index attached, so a chaos-harness crash names the request
+   that caused it rather than an anonymous slot. *)
+let mapi t f xs =
   let n = Array.length xs in
-  if n = 0 then [||]
-  else if t.size = 1 then begin
-    let i = ref 0 in
-    try Array.map (fun x -> let y = f x in incr i; y) xs
-    with e -> reraise_task (!i, e, Printexc.get_raw_backtrace ())
-  end
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let err = Atomic.make None in
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let err = Atomic.make None in
+  if n > 0 then
     run t (fun _slot ->
         let continue = ref true in
         while !continue do
           let i = Atomic.fetch_and_add next 1 in
           if i >= n then continue := false
           else
-            match f xs.(i) with
+            match f i xs.(i) with
             | v -> results.(i) <- Some v
             | exception e ->
                 let trace = Printexc.get_raw_backtrace () in
                 ignore (Atomic.compare_and_set err None (Some (i, e, trace)));
                 continue := false
         done);
-    (match Atomic.get err with Some e -> reraise_task e | None -> ());
-    Array.map (function Some v -> v | None -> assert false) results
-  end
+  (match Atomic.get err with Some e -> reraise_task e | None -> ());
+  Array.map (function Some v -> v | None -> assert false) results
+
+let map t f xs = mapi t (fun _ x -> f x) xs
 
 (* [map_timed] is [map] that also reports how long each element took on
    its worker, measured with [Sys.time] on the executing domain.  This is
@@ -162,50 +158,17 @@ let map t f xs =
    the tracer and the virtual clock — the pool touches neither) stitches
    the durations into parent-linked spans after the barrier. *)
 let map_timed t f xs =
-  let n = Array.length xs in
-  if n = 0 then ([||], [||])
-  else if t.size = 1 then begin
-    let times = Array.make n 0.0 in
-    let i = ref 0 in
-    let ys =
-      try
-        Array.map
-          (fun x ->
-            let c0 = Sys.time () in
-            let y = f x in
-            times.(!i) <- Sys.time () -. c0;
-            incr i;
-            y)
-          xs
-      with e -> reraise_task (!i, e, Printexc.get_raw_backtrace ())
-    in
-    (ys, times)
-  end
-  else begin
-    let results = Array.make n None in
-    let times = Array.make n 0.0 in
-    let next = Atomic.make 0 in
-    let err = Atomic.make None in
-    run t (fun _slot ->
-        let continue = ref true in
-        while !continue do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= n then continue := false
-          else begin
-            let c0 = Sys.time () in
-            match f xs.(i) with
-            | v ->
-                times.(i) <- Sys.time () -. c0;
-                results.(i) <- Some v
-            | exception e ->
-                let trace = Printexc.get_raw_backtrace () in
-                ignore (Atomic.compare_and_set err None (Some (i, e, trace)));
-                continue := false
-          end
-        done);
-    (match Atomic.get err with Some e -> reraise_task e | None -> ());
-    (Array.map (function Some v -> v | None -> assert false) results, times)
-  end
+  let times = Array.make (Array.length xs) 0.0 in
+  let ys =
+    mapi t
+      (fun i x ->
+        let c0 = Sys.time () in
+        let y = f x in
+        times.(i) <- Sys.time () -. c0;
+        y)
+      xs
+  in
+  (ys, times)
 
 let with_pool ?domains f =
   let t = create ?domains () in

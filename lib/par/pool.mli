@@ -2,9 +2,8 @@
 
     Built for fork/join regions: {!run} publishes a job to every worker and
     joins them at a barrier, {!map} distributes an array over the pool with
-    work stealing.  A pool of size 1 spawns nothing and runs everything
-    inline on the caller, so the sequential path stays exactly the
-    sequential code. *)
+    work stealing.  A pool of size 1 spawns nothing and runs the same code
+    inline on the caller, so callers need no separate sequential path. *)
 
 type t
 (** A pool.  Workers park between parallel regions; {!shutdown} (or

@@ -98,7 +98,7 @@ type instruments = {
 type t = {
   hac : Hac.t;
   config : config;
-  pool : Pool.t option;
+  pool : Pool.t;
   clock : Clock.t;
   sessions : (string, Session.t) Hashtbl.t;
   queue : Msg.ticket Queue.t;
@@ -168,7 +168,7 @@ let create ?(config = default_config) hac =
   {
     hac;
     config;
-    pool = (if config.domains > 1 then Some (Pool.create ~domains:config.domains ()) else None);
+    pool = Pool.create ~domains:config.domains ();
     clock;
     sessions = Hashtbl.create 16;
     queue = Queue.create ();
@@ -401,23 +401,8 @@ let serve_reads t tickets =
     let tr = Hac.tracer t.hac in
     Trace.with_span tr ~name:"serve.read_wave" (fun () ->
         let vstart = Clock.now t.clock in
-        let replies, cpu =
-          match t.pool with
-          | Some pool -> Pool.map_timed pool (Snapshot.read snap) reads
-          | None ->
-              let times = Array.make n 0.0 in
-              let rs =
-                Array.mapi
-                  (fun k r ->
-                    let c0 = Sys.time () in
-                    let v = Snapshot.read snap r in
-                    times.(k) <- Sys.time () -. c0;
-                    v)
-                  reads
-              in
-              (rs, times)
-        in
-        let width = match t.pool with Some p -> Pool.size p | None -> 1 in
+        let replies, cpu = Pool.map_timed t.pool (Snapshot.read snap) reads in
+        let width = Pool.size t.pool in
         let waves = (n + width - 1) / width in
         Clock.advance t.clock (float_of_int waves *. t.config.read_cost_s);
         let now = Clock.now t.clock in
@@ -647,6 +632,6 @@ let stop t =
   if not t.stopped then begin
     drain t;
     t.stopped <- true;
-    (match t.pool with Some p -> Pool.shutdown p | None -> ());
+    Pool.shutdown t.pool;
     Hac.set_auto_sync t.hac t.prior_auto_sync
   end

@@ -1,9 +1,8 @@
-(* Unit and property tests for Hac_bitset: Bitset, Sparse and the adaptive
+(* Unit and property tests for Hac_bitset: Bitset, Roaring and the adaptive
    Fileset.  Property tests check every operation against Stdlib's Set as a
    reference model. *)
 
 module Bitset = Hac_bitset.Bitset
-module Sparse = Hac_bitset.Sparse
 module Fileset = Hac_bitset.Fileset
 module IntSet = Set.Make (Int)
 
@@ -92,32 +91,6 @@ let test_paper_byte_size () =
   check_int "17000 files" 2125 (Bitset.paper_byte_size ~universe:17000);
   check_int "8 files" 1 (Bitset.paper_byte_size ~universe:8);
   check_int "9 files" 2 (Bitset.paper_byte_size ~universe:9)
-
-(* -- Sparse units --------------------------------------------------------- *)
-
-let test_sparse_basic () =
-  let s = Sparse.of_list [ 5; 1; 5; 3 ] in
-  check_list "dedup sorted" [ 1; 3; 5 ] (Sparse.elements s);
-  check_bool "mem" true (Sparse.mem s 3);
-  check_bool "not mem" false (Sparse.mem s 4);
-  check_int "cardinal" 3 (Sparse.cardinal s);
-  check_bool "empty" true (Sparse.is_empty Sparse.empty)
-
-let test_sparse_add_remove () =
-  let s = Sparse.of_list [ 1; 5 ] in
-  let s2 = Sparse.add s 3 in
-  check_list "insert middle" [ 1; 3; 5 ] (Sparse.elements s2);
-  check_list "original immutable" [ 1; 5 ] (Sparse.elements s);
-  let s3 = Sparse.remove s2 1 in
-  check_list "remove head" [ 3; 5 ] (Sparse.elements s3);
-  check_bool "remove absent is same" true (Sparse.equal s (Sparse.remove s 42))
-
-let test_sparse_setops () =
-  let a = Sparse.of_list [ 1; 3; 5 ] and b = Sparse.of_list [ 2; 3; 6 ] in
-  check_list "union" [ 1; 2; 3; 5; 6 ] (Sparse.elements (Sparse.union a b));
-  check_list "inter" [ 3 ] (Sparse.elements (Sparse.inter a b));
-  check_list "diff" [ 1; 5 ] (Sparse.elements (Sparse.diff a b));
-  check_bool "subset" true (Sparse.subset (Sparse.of_list [ 3 ]) a)
 
 (* -- Fileset units --------------------------------------------------------- *)
 
@@ -269,17 +242,6 @@ let prop_bitset_matches_model =
       && Bitset.elements (Bitset.diff a b) = IntSet.elements (IntSet.diff ma mb)
       && Bitset.cardinal a = IntSet.cardinal ma
       && Bitset.subset a b = IntSet.subset ma mb)
-
-let prop_sparse_matches_model =
-  QCheck.Test.make ~name:"sparse setops match Set model" ~count:300
-    QCheck.(pair small_int_list small_int_list)
-    (fun (la, lb) ->
-      let a = Sparse.of_list la and b = Sparse.of_list lb in
-      let ma = model_of la and mb = model_of lb in
-      Sparse.elements (Sparse.union a b) = IntSet.elements (IntSet.union ma mb)
-      && Sparse.elements (Sparse.inter a b) = IntSet.elements (IntSet.inter ma mb)
-      && Sparse.elements (Sparse.diff a b) = IntSet.elements (IntSet.diff ma mb)
-      && Sparse.subset a b = IntSet.subset ma mb)
 
 let prop_fileset_matches_model =
   QCheck.Test.make ~name:"fileset setops match Set model" ~count:300
@@ -452,12 +414,6 @@ let () =
           Alcotest.test_case "clear" `Quick test_bitset_clear;
           Alcotest.test_case "paper byte size" `Quick test_paper_byte_size;
         ] );
-      ( "sparse",
-        [
-          Alcotest.test_case "basic" `Quick test_sparse_basic;
-          Alcotest.test_case "add/remove" `Quick test_sparse_add_remove;
-          Alcotest.test_case "set operations" `Quick test_sparse_setops;
-        ] );
       ( "fileset",
         [
           Alcotest.test_case "adaptive representation" `Quick test_fileset_adaptive;
@@ -482,7 +438,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_bitset_matches_model;
-            prop_sparse_matches_model;
             prop_fileset_matches_model;
             prop_fileset_add_remove;
             prop_bitset_iter_sorted;

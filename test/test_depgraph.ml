@@ -81,18 +81,17 @@ let test_would_cycle_pure () =
 
 let test_affected_order () =
   let g = diamond () in
-  (* Everything depending on 1, dependencies before dependents. *)
-  let order = Depgraph.affected g 1 in
-  check_int "three affected" 3 (List.length order);
-  let pos x = Option.get (List.find_index (( = ) x) order) in
-  check_bool "2 before 4" true (pos 2 < pos 4);
-  check_bool "3 before 4" true (pos 3 < pos 4);
-  check_bool "1 not included" true (not (List.mem 1 order));
+  (* Everything depending on 1, sorted; its levels put dependencies before
+     dependents. *)
+  check_list "three affected" [ 2; 3; 4 ] (Depgraph.affected g 1);
+  Alcotest.(check (list (list int)))
+    "schedule from 1" [ [ 1 ]; [ 2; 3 ]; [ 4 ] ]
+    (Depgraph.levels_of g (1 :: Depgraph.affected g 1));
   check_list "leaf affects nothing" [] (Depgraph.affected g 4)
 
-let test_topo_all () =
+let test_levels_order () =
   let g = diamond () in
-  let order = Depgraph.topo_all g in
+  let order = List.concat (Depgraph.levels g) in
   check_int "all nodes" 4 (List.length order);
   let pos x = Option.get (List.find_index (( = ) x) order) in
   check_bool "1 first" true (pos 1 < pos 2 && pos 1 < pos 3);
@@ -128,10 +127,10 @@ let build_graph attempts =
   g
 
 let prop_topo_respects_edges =
-  QCheck.Test.make ~name:"topo_all places deps before dependents" ~count:300 arb_attempts
-    (fun attempts ->
+  QCheck.Test.make ~name:"concatenated levels place deps before dependents" ~count:300
+    arb_attempts (fun attempts ->
       let g = build_graph attempts in
-      let order = Depgraph.topo_all g in
+      let order = List.concat (Depgraph.levels g) in
       let pos = Hashtbl.create 16 in
       List.iteri (fun i n -> Hashtbl.replace pos n i) order;
       List.length order = Depgraph.node_count g
@@ -180,8 +179,9 @@ let levels_properties g =
   let levels = Depgraph.levels g in
   let flat = List.concat levels in
   let partition =
-    List.sort compare flat = List.sort compare (Depgraph.topo_all g)
+    List.length (List.sort_uniq compare flat) = List.length flat
     && List.length flat = Depgraph.node_count g
+    && List.for_all (Depgraph.mem g) flat
   in
   let level_of = Hashtbl.create 16 in
   List.iteri (fun i level -> List.iter (fun n -> Hashtbl.replace level_of n i) level) levels;
@@ -207,15 +207,15 @@ let test_levels_hand_built () =
   check_list "widest wave" [ 10; 11; 12 ] (List.nth (Depgraph.levels g) 1)
 
 let prop_levels_sound =
-  QCheck.Test.make ~name:"levels partition topo_all into antichain waves" ~count:300
+  QCheck.Test.make ~name:"levels partition the nodes into antichain waves" ~count:300
     arb_attempts (fun attempts -> levels_properties (build_graph attempts))
 
 let prop_no_cycles_ever =
   QCheck.Test.make ~name:"graph stays acyclic under random set_deps" ~count:300 arb_attempts
     (fun attempts ->
       let g = build_graph attempts in
-      (* A DAG's topological sort covers every node. *)
-      List.length (Depgraph.topo_all g) = Depgraph.node_count g)
+      (* A DAG's levels cover every node. *)
+      List.length (List.concat (Depgraph.levels g)) = Depgraph.node_count g)
 
 let () =
   Alcotest.run "depgraph"
@@ -239,7 +239,7 @@ let () =
       ( "ordering",
         [
           Alcotest.test_case "affected order" `Quick test_affected_order;
-          Alcotest.test_case "topo_all" `Quick test_topo_all;
+          Alcotest.test_case "levels order" `Quick test_levels_order;
         ] );
       ( "levels",
         [

@@ -1,11 +1,11 @@
-(* The parallel settle engine's correctness claim is equivalence: settling
-   with a domain pool of any width must land on exactly the state the
-   sequential engine reaches — same links, same prohibitions, same persisted
-   metadata — over arbitrary interleavings of content and structural
-   mutations.  Differential twin runs check that claim at widths 1, 2 and 4
-   (1 exercises the shared per-pass caches alone; the engine's level
-   scheduling is identical at every width).  Unit tests pin down the pool
-   itself and the per-pass cache invalidation story. *)
+(* The settle engine's correctness claim is width independence: settling
+   with a domain pool of any width must land on exactly the state a width-1
+   settle reaches — same links, same prohibitions, same persisted metadata
+   — over arbitrary interleavings of content and structural mutations.
+   Differential twin runs check that claim at widths 1, 2 and 4 against the
+   default width 1 (the level scheduling is identical at every width; only
+   where the evaluations run differs).  Unit tests pin down the pool itself
+   and the per-pass cache invalidation story. *)
 
 module Hac = Hac_core.Hac
 module Link = Hac_core.Link
@@ -133,9 +133,9 @@ let rec batches = function
       let batch, rest = take 3 ops in
       batch :: batches rest
 
-(* Twin run: A settles with a [domains]-wide pool, B with the plain
-   sequential engine; the observable state and the persisted metadata must
-   agree after every settle. *)
+(* Twin run: A settles with a [domains]-wide pool, B at the default width 1;
+   the observable state and the persisted metadata must agree after every
+   settle. *)
 let twin_run ~domains ~fail ops =
   let a = fresh () and b = fresh () in
   List.iteri
@@ -179,7 +179,7 @@ let seeded_run seed () =
   List.iter
     (fun domains ->
       let a, _ = twin_run ~domains ops ~fail:Alcotest.fail in
-      (* The parallel result is a true fixpoint of the sequential engine. *)
+      (* The multi-domain result is a true fixpoint of a width-1 pass. *)
       let before = observe a in
       Hac.sync_all a;
       Alcotest.(check string)

@@ -2,9 +2,9 @@
 
    A random sequence of user operations (file writes and deletions, semantic
    directory creation, link deletion, permanent additions, query changes) is
-   applied; after settling (reindex + sync_all) every semantic directory
-   must satisfy, against an INDEPENDENT re-implementation of the scope
-   definition:
+   applied; after settling (reindex + sync_all, at pool widths 1 and 2)
+   every semantic directory must satisfy, against an INDEPENDENT
+   re-implementation of the scope definition:
 
      transient(sd) = { f in scope(parent sd) | f matches query(sd) }
                      \ prohibited(sd) \ permanent(sd) \ subtree(sd)
@@ -144,19 +144,26 @@ let check_invariant t fs dir =
           (String.concat ", " (StrSet.elements expected))
           (String.concat ", " (StrSet.elements actual))
 
+(* The oracle checks the settle engine at width 1 and on a two-domain pool
+   alike: the multi-domain schedule gets no weaker check than the inline
+   one. *)
 let prop_scope_invariant =
   QCheck.Test.make ~name:"scope invariant holds after random ops" ~count:150 arb_ops
     (fun ops ->
-      (* Queries here are single words with stemming off, so the oracle's
-         word-containment check is exactly the system's match semantics. *)
-      let t = Hac.create ~stem:false () in
-      Hac.mkdir_p t "/docs/sub";
-      Hac.mkdir_p t "/misc";
-      List.iter (apply t) ops;
-      ignore (Hac.reindex t ());
-      Hac.sync_all t;
-      let fs = Hac.fs t in
-      List.for_all (fun d -> check_invariant t fs d) (Hac.semantic_dirs t))
+      List.for_all
+        (fun domains ->
+          (* Queries here are single words with stemming off, so the
+             oracle's word-containment check is exactly the system's match
+             semantics. *)
+          let t = Hac.create ~stem:false () in
+          Hac.mkdir_p t "/docs/sub";
+          Hac.mkdir_p t "/misc";
+          List.iter (apply t) ops;
+          ignore (Hac.reindex ~domains t ());
+          Hac.sync_all ~domains t;
+          let fs = Hac.fs t in
+          List.for_all (fun d -> check_invariant t fs d) (Hac.semantic_dirs t))
+        [ 1; 2 ])
 
 (* A second walk in eager mode: auto_sync must maintain the same invariant
    continuously (checked at the end, but without an explicit settle). *)
