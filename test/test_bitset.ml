@@ -113,6 +113,37 @@ let test_fileset_ops_mixed_repr () =
   check_bool "equal across reprs" true
     (Fileset.equal (Fileset.of_list [ 1; 2 ]) (Fileset.of_list [ 2; 1 ]))
 
+let test_fileset_small_basic () =
+  let s = Fileset.of_list [ 5; 1; 5; 3 ] in
+  check_list "dedup sorted" [ 1; 3; 5 ] (Fileset.elements s);
+  check_bool "mem" true (Fileset.mem s 3);
+  check_bool "not mem" false (Fileset.mem s 4);
+  check_int "cardinal" 3 (Fileset.cardinal s);
+  check_bool "empty" true (Fileset.is_empty Fileset.empty);
+  check_list "singleton" [ 42 ] (Fileset.elements (Fileset.singleton 42));
+  Alcotest.(check (option int)) "choose" (Some 1) (Fileset.choose_opt s);
+  Alcotest.(check (option int)) "max" (Some 5) (Fileset.max_elt_opt s);
+  Alcotest.(check (option int)) "choose empty" None (Fileset.choose_opt Fileset.empty)
+
+let test_fileset_persistent_add_remove () =
+  let s = Fileset.of_list [ 1; 5 ] in
+  let s2 = Fileset.add s 3 in
+  check_list "insert middle" [ 1; 3; 5 ] (Fileset.elements s2);
+  check_list "original immutable" [ 1; 5 ] (Fileset.elements s);
+  let s3 = Fileset.remove s2 1 in
+  check_list "remove head" [ 3; 5 ] (Fileset.elements s3);
+  check_list "remove leaves source" [ 1; 3; 5 ] (Fileset.elements s2);
+  check_bool "remove absent is equal" true (Fileset.equal s (Fileset.remove s 42));
+  check_bool "add present is equal" true (Fileset.equal s (Fileset.add s 5))
+
+let test_fileset_small_setops () =
+  let a = Fileset.of_list [ 1; 3; 5 ] and b = Fileset.of_list [ 2; 3; 6 ] in
+  check_list "union" [ 1; 2; 3; 5; 6 ] (Fileset.elements (Fileset.union a b));
+  check_list "inter" [ 3 ] (Fileset.elements (Fileset.inter a b));
+  check_list "diff" [ 1; 5 ] (Fileset.elements (Fileset.diff a b));
+  check_bool "subset" true (Fileset.subset (Fileset.of_list [ 3 ]) a);
+  check_bool "not subset" false (Fileset.subset b a)
+
 let test_fileset_filter () =
   let s = Fileset.range 0 20 in
   let even = Fileset.filter (fun i -> i mod 2 = 0) s in
@@ -418,6 +449,9 @@ let () =
         [
           Alcotest.test_case "adaptive representation" `Quick test_fileset_adaptive;
           Alcotest.test_case "mixed-repr operations" `Quick test_fileset_ops_mixed_repr;
+          Alcotest.test_case "small-set basics" `Quick test_fileset_small_basic;
+          Alcotest.test_case "persistent add/remove" `Quick test_fileset_persistent_add_remove;
+          Alcotest.test_case "small-set operations" `Quick test_fileset_small_setops;
           Alcotest.test_case "filter" `Quick test_fileset_filter;
           Alcotest.test_case "empty range" `Quick test_fileset_empty_range;
         ] );

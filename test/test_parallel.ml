@@ -195,6 +195,24 @@ let test_pool_map_order () =
       let ys = Pool.map p (fun x -> (2 * x) + 1) xs in
       Alcotest.(check (array int)) "order kept" (Array.map (fun x -> (2 * x) + 1) xs) ys)
 
+(* map_timed returns results in input order with one non-negative CPU
+   duration per element, at width 1 (inline) and width 3 alike. *)
+let test_pool_map_timed () =
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun p ->
+          let xs = Array.init 50 Fun.id in
+          let ys, ts = Pool.map_timed p (fun x -> x * x) xs in
+          let label s = Printf.sprintf "%s (width %d)" s domains in
+          Alcotest.(check (array int)) (label "order kept") (Array.map (fun x -> x * x) xs) ys;
+          Alcotest.(check int) (label "one time per element") 50 (Array.length ts);
+          Alcotest.(check bool) (label "times non-negative") true
+            (Array.for_all (fun t -> t >= 0.0) ts);
+          let ys0, ts0 = Pool.map_timed p (fun x -> x) [||] in
+          Alcotest.(check int) (label "empty results") 0 (Array.length ys0);
+          Alcotest.(check int) (label "empty times") 0 (Array.length ts0)))
+    [ 1; 3 ]
+
 let test_pool_size_one_inline () =
   let p = Pool.create () in
   Alcotest.(check int) "size" 1 (Pool.size p);
@@ -308,6 +326,7 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "map keeps order" `Quick test_pool_map_order;
+          Alcotest.test_case "map_timed keeps order and times" `Quick test_pool_map_timed;
           Alcotest.test_case "size-1 runs inline" `Quick test_pool_size_one_inline;
           Alcotest.test_case "exceptions re-raise" `Quick test_pool_exception;
           Alcotest.test_case "pool is reusable" `Quick test_pool_reuse;
