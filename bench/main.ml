@@ -1443,6 +1443,63 @@ let index_section () =
     (if smoke then whole > 0. else narrow > broad && broad >= whole *. 0.5);
   shape "compressed postings smaller than flat per-term bitmaps"
     (stats.Hac_index.Cas.bytes < stats.Hac_index.Cas.uncompressed_bytes);
+  (* Approximate-term expansion: the first lookup of a pattern agreps the
+     whole vocabulary, a repeat agreps nothing, and after new words are
+     indexed a lookup agreps only those.  The counts are deterministic and
+     gated; answers are checked against a brute-force scan. *)
+  let patterns = [ ("comon", 1); ("sparce", 1); ("leaf0x1", 2) ] in
+  let tested () = Index.approx_words_tested idx in
+  let lookup_all () =
+    List.iter
+      (fun (word, errors) -> ignore (Index.candidate_docs_approx idx ~word ~errors))
+      patterns
+  in
+  let vocab = Index.vocabulary_size idx in
+  let t0 = tested () in
+  let cold_s = Timer.time_only lookup_all in
+  let cold_tested = tested () - t0 in
+  let t1 = tested () in
+  let repeat_s = Timer.time_only lookup_all in
+  let repeat_tested = tested () - t1 in
+  let new_words = [ "comonx"; "sparcey"; "leaf0y1"; "fresh"; "novel" ] in
+  List.iteri
+    (fun i w ->
+      let path = Printf.sprintf "/d00/s0/new%d.txt" i and content = "common " ^ w in
+      Hashtbl.replace contents path content;
+      ignore (Index.add_document idx ~path ~content))
+    new_words;
+  let t2 = tested () in
+  lookup_all ();
+  let after_new_tested = tested () - t2 in
+  let truth word errors =
+    let near = Hac_index.Agrep.word_matches ~pattern:word ~errors in
+    Hashtbl.fold
+      (fun path content acc ->
+        if Hac_index.Tokenizer.exists_word content near then
+          Fileset.add acc (Option.get (Index.doc_of_path idx path))
+        else acc)
+      contents Fileset.empty
+  in
+  let approx_equal =
+    List.for_all
+      (fun (word, errors) ->
+        let want = truth word errors in
+        let cache = Search.doc_cache () in
+        Fileset.subset want (Index.candidate_docs_approx idx ~word ~errors)
+        && Fileset.equal want (Search.search_approx idx reader ~word ~errors)
+        && Fileset.equal want (Search.search_approx ~cache idx reader ~word ~errors))
+      patterns
+  in
+  let n_pat = List.length patterns and n_new = List.length new_words in
+  Printf.printf
+    "\n  approximate expansion (%d patterns, %d words): %d keys agrepped cold, %d on a\n\
+    \  repeat, %d after %d new words (%.1f us cold, %.1f us repeat)\n"
+    n_pat vocab cold_tested repeat_tested after_new_tested n_new (cold_s *. 1e6)
+    (repeat_s *. 1e6);
+  shape "cold approximate lookup agreps the whole vocabulary" (cold_tested = n_pat * vocab);
+  shape "repeat approximate lookup agreps nothing" (repeat_tested = 0);
+  shape "after k new words a lookup agreps k x patterns" (after_new_tested = n_new * n_pat);
+  shape "approximate answers equal brute force" approx_equal;
   let b = Buffer.create 1024 in
   Printf.bprintf b "{\n";
   Printf.bprintf b
@@ -1468,8 +1525,13 @@ let index_section () =
   Printf.bprintf b "  ],\n";
   Printf.bprintf b
     "  \"crossover\": { \"narrow_speedup\": %.3f, \"broad_speedup\": %.3f, \
-     \"unscoped_speedup\": %.3f }\n"
+     \"unscoped_speedup\": %.3f },\n"
     narrow broad whole;
+  Printf.bprintf b
+    "  \"approx\": { \"patterns\": %d, \"vocabulary\": %d, \"cold_tested\": %d, \
+     \"repeat_tested\": %d, \"new_words\": %d, \"after_new_tested\": %d, \"cold_s\": %.9f, \
+     \"repeat_s\": %.9f, \"verified_equal\": %b }\n"
+    n_pat vocab cold_tested repeat_tested n_new after_new_tested cold_s repeat_s approx_equal;
   Printf.bprintf b "}\n";
   let payload = Buffer.contents b in
   let oc = open_out index_json_path in

@@ -951,10 +951,11 @@ let add t v =
         let c' =
           match c with
           | Arr a -> pack_sorted_array (arr_union a [| low |])
-          | Bmp b ->
+          | Bmp b -> (
+              (* Repack: filling gaps can make the run shape canonical. *)
               let w = Array.copy b.w in
               w.(low / bpw) <- w.(low / bpw) lor (1 lsl (low mod bpw));
-              Bmp { w; n = b.n + 1 }
+              match pack_words w with Some c -> c | None -> assert false)
           | Run r -> (
               match pack_runs (run_union r.r [| low; low |]) with
               | Some c -> c

@@ -698,6 +698,7 @@ let index_report (ctx : Ctx.t) =
   setg i.Instr.index_containers_runs s.Hac_index.Cas.run_containers;
   setg i.Instr.index_postings_bytes s.Hac_index.Cas.bytes;
   setg i.Instr.index_postings_uncompressed s.Hac_index.Cas.uncompressed_bytes;
+  setg i.Instr.index_approx_words_tested (Index.approx_words_tested ctx.index);
   s
 
 (* -- links ------------------------------------------------------------------ *)

@@ -220,7 +220,9 @@ val cas_enabled : t -> bool
 
 val index_report : t -> Hac_index.Cas.stats
 (** Container histogram and memory accounting of the CAS postings, also
-    published to the [index.containers.*] / [index.postings.*] gauges.
+    published to the [index.containers.*] / [index.postings.*] gauges,
+    together with [index.approx_words_tested]
+    ({!Hac_index.Index.approx_words_tested}).
     Forces partition snapshots — a stats-time cost, cheap next to a settle
     but not free. *)
 

@@ -28,6 +28,7 @@ type t = {
   index_containers_runs : Metrics.gauge;
   index_postings_bytes : Metrics.gauge;
   index_postings_uncompressed : Metrics.gauge;
+  index_approx_words_tested : Metrics.gauge;
   rescache_bytes : Metrics.gauge;
   search_terms : Metrics.counter;
   search_postings : Metrics.counter;
@@ -95,6 +96,7 @@ let create ~now () =
     index_containers_runs = Metrics.gauge m "index.containers.runs";
     index_postings_bytes = Metrics.gauge m "index.postings.bytes";
     index_postings_uncompressed = Metrics.gauge m "index.postings.uncompressed_bytes";
+    index_approx_words_tested = Metrics.gauge m "index.approx_words_tested";
     rescache_bytes = Metrics.gauge m "rescache.bytes";
     search_terms = Metrics.counter m "search.terms";
     search_postings = Metrics.counter m "search.postings_scanned";

@@ -51,6 +51,9 @@ type t = {
       (** Compressed CAS postings footprint in bytes (set at stats time). *)
   index_postings_uncompressed : Hac_obs.Metrics.gauge;
       (** What flat per-term bitmaps over the doc-id space would cost. *)
+  index_approx_words_tested : Hac_obs.Metrics.gauge;
+      (** Vocabulary keys agrepped by approximate-term expansion over the
+          index's lifetime (set at stats time). *)
   rescache_bytes : Hac_obs.Metrics.gauge;
       (** Bytes held by cached per-directory result sets. *)
   search_terms : Hac_obs.Metrics.counter;

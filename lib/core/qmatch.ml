@@ -12,16 +12,11 @@ let matches ?(stem = true) q ~name ~content =
   let k w = if stem then Stemmer.stem w else w in
   let has_word w =
     let w = k (String.lowercase_ascii w) in
-    let found = ref false in
-    Tokenizer.iter_words content (fun x -> if k x = w then found := true);
-    !found
+    Tokenizer.exists_word content (fun x -> k x = w)
   in
   let has_approx w errors =
     let w = k (String.lowercase_ascii w) in
-    let found = ref false in
-    Tokenizer.iter_words content (fun x ->
-        if Agrep.word_matches ~pattern:w ~errors (k x) then found := true);
-    !found
+    Tokenizer.exists_word content (fun x -> Agrep.word_matches ~pattern:w ~errors (k x))
   in
   let rec go = function
     | Ast.All -> true

@@ -1,5 +1,6 @@
 module Bitset = Hac_bitset.Bitset
 module Fileset = Hac_bitset.Fileset
+module SSet = Set.Make (String)
 
 type doc_id = int
 
@@ -16,6 +17,23 @@ type cold = {
   words : unit -> string list;  (* stemmed words with cold postings *)
 }
 
+(* A resident word's block bitmap and its position in the vocabulary log. *)
+type posting = { blocks : Bitset.t; seq : int }
+
+(* Vocabulary expansions: the keys an approximate term (pattern, errors) or a
+   required regex literal selects.  An expansion is immutable once published;
+   extending it to newer vocabulary publishes a fresh one. *)
+type xkey = Approx of string * int | Literal of string
+
+type expansion = {
+  x_test : string -> bool;
+  x_resident : SSet.t; (* matched keys among the log prefix swept *)
+  x_scanned : int; (* length of the vocabulary-log prefix swept *)
+  x_cold : SSet.t option; (* matched cold words; [None] until swept *)
+}
+
+type xentry = { xe_lock : Mutex.t; mutable xe_exp : expansion }
+
 type t = {
   block_size : int;
   stem : bool;
@@ -23,7 +41,12 @@ type t = {
   mutable docs : doc array; (* slot = doc_id; grows, never shrinks *)
   mutable next_id : int;
   by_path : (string, doc_id) Hashtbl.t;
-  postings : (string, Bitset.t) Hashtbl.t; (* word -> block bitmap *)
+  postings : (string, posting) Hashtbl.t; (* word -> block bitmap *)
+  mutable vlog : string array; (* resident words in first-posting order *)
+  mutable vlog_len : int;
+  xlock : Mutex.t; (* guards [xcache]; each entry extends under its own lock *)
+  xcache : (xkey, xentry) Hashtbl.t;
+  approx_tested : int Atomic.t; (* vocabulary keys agrepped by expansion *)
   attr_postings : (string * string, Bitset.t) Hashtbl.t; (* (attr, value) -> block bitmap *)
   mutable lazy_ops : int; (* removals + in-place updates since the last rebuild *)
   by_dir : (string, Fileset.Builder.t) Hashtbl.t; (* ancestor dir -> live docs beneath it *)
@@ -42,6 +65,11 @@ let create ?(block_size = 8) ?(stem = true) ?transducer () =
     next_id = 0;
     by_path = Hashtbl.create 256;
     postings = Hashtbl.create 4096;
+    vlog = Array.make 256 "";
+    vlog_len = 0;
+    xlock = Mutex.create ();
+    xcache = Hashtbl.create 16;
+    approx_tested = Atomic.make 0;
     attr_postings = Hashtbl.create 64;
     lazy_ops = 0;
     by_dir = Hashtbl.create 256;
@@ -54,9 +82,20 @@ let set_use_cas t flag = t.use_cas <- flag
 
 let use_cas t = t.use_cas
 
-let set_cold t ~lookup ~cost ~words = t.cold <- Some { lookup; cost; words }
+(* Expansions depend on the vocabulary log and the cold provider's words;
+   whatever resets either drops them.  Main-domain-only, between passes. *)
+let drop_expansions t =
+  Mutex.lock t.xlock;
+  Hashtbl.reset t.xcache;
+  Mutex.unlock t.xlock
 
-let clear_cold t = t.cold <- None
+let set_cold t ~lookup ~cost ~words =
+  t.cold <- Some { lookup; cost; words };
+  drop_expansions t
+
+let clear_cold t =
+  t.cold <- None;
+  drop_expansions t
 
 let has_cold t = t.cold <> None
 
@@ -78,14 +117,25 @@ let ensure_docs t id =
     t.docs <- docs
   end
 
+let log_word t w =
+  let n = Array.length t.vlog in
+  if t.vlog_len = n then begin
+    let a = Array.make (2 * n) "" in
+    Array.blit t.vlog 0 a 0 n;
+    t.vlog <- a
+  end;
+  t.vlog.(t.vlog_len) <- w;
+  t.vlog_len <- t.vlog_len + 1
+
 let post_word t block w =
   let w = key t w in
   match Hashtbl.find_opt t.postings w with
-  | Some bm -> Bitset.add bm block
+  | Some p -> Bitset.add p.blocks block
   | None ->
       let bm = Bitset.create ~capacity:(block + 1) () in
       Bitset.add bm block;
-      Hashtbl.replace t.postings w bm
+      Hashtbl.replace t.postings w { blocks = bm; seq = t.vlog_len };
+      log_word t w
 
 let post_attr t block key value =
   let k = (String.lowercase_ascii key, String.lowercase_ascii value) in
@@ -284,35 +334,128 @@ let candidate_docs ?within ?under t w =
     else
       match Hashtbl.find_opt t.postings w with
       | None -> Fileset.empty
-      | Some blocks -> expand ?within t blocks
+      | Some p -> expand ?within t p.blocks
   in
   let c =
     if t.cold = None then base else Fileset.union base (cold_docs t (Cas.word_key w))
   in
   match within with None -> c | Some wset -> Fileset.inter c wset
 
+(* -- vocabulary expansion ----------------------------------------------------
+
+   An expansion sweeps each resident key once: extending it agreps only the
+   vocabulary-log tail appended since the last sweep, plus the cold
+   provider's words once per installed provider.  Evaluations run on pool
+   domains, so the sweep happens under the entry's lock and publishes a
+   fresh immutable expansion; the index itself is frozen during a pass. *)
+
+let test_of = function
+  | Approx (pattern, errors) -> Agrep.word_matches ~pattern ~errors
+  | Literal run ->
+      (* Tokens of [max_word_len] may be truncated: always candidates. *)
+      fun w ->
+        String.length w = Tokenizer.max_word_len || Agrep.find_exact ~pattern:run w <> None
+
+let sweep t x =
+  let tested = ref 0 in
+  let test w =
+    incr tested;
+    x.x_test w
+  in
+  let resident = ref x.x_resident in
+  for i = x.x_scanned to t.vlog_len - 1 do
+    let w = t.vlog.(i) in
+    if test w then resident := SSet.add w !resident
+  done;
+  let cold =
+    match (x.x_cold, t.cold) with
+    | None, Some c ->
+        let add acc w = if test w then SSet.add w acc else acc in
+        Some (List.fold_left add SSet.empty (c.words ()))
+    | cold, _ -> cold
+  in
+  (!tested, { x with x_resident = !resident; x_scanned = t.vlog_len; x_cold = cold })
+
+(* Entries live until the next {!drop_expansions}: one per distinct pattern
+   the queries use, each holding only the keys it matched. *)
+let expansion t xk =
+  Mutex.lock t.xlock;
+  let e =
+    match Hashtbl.find_opt t.xcache xk with
+    | Some e -> e
+    | None ->
+        let x = { x_test = test_of xk; x_resident = SSet.empty; x_scanned = 0; x_cold = None } in
+        let e = { xe_lock = Mutex.create (); xe_exp = x } in
+        Hashtbl.replace t.xcache xk e;
+        e
+  in
+  Mutex.unlock t.xlock;
+  Mutex.lock e.xe_lock;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock e.xe_lock)
+    (fun () ->
+      let x = e.xe_exp in
+      if x.x_scanned = t.vlog_len && (x.x_cold <> None || t.cold = None) then x
+      else begin
+        let tested, x = sweep t x in
+        (match xk with
+        | Approx _ -> ignore (Atomic.fetch_and_add t.approx_tested tested)
+        | Literal _ -> ());
+        e.xe_exp <- x;
+        x
+      end)
+
+let approx_expansion t ~word ~errors = expansion t (Approx (key t word, errors))
+
+let literal_expansion t run = expansion t (Literal run)
+
+let expansion_words x =
+  match x.x_cold with
+  | None -> SSet.elements x.x_resident
+  | Some c -> SSet.elements (SSet.union x.x_resident c)
+
+(* Exact per-key verdict without the edit-distance DP for swept keys: a
+   matched key is a hit; a key resident in the swept log prefix that did
+   not match is a miss; anything else (content not indexed yet, cold-only
+   words) runs the test. *)
+let expansion_matches t x w =
+  SSet.mem w x.x_resident
+  || (match x.x_cold with Some c -> SSet.mem w c | None -> false)
+  ||
+  match Hashtbl.find_opt t.postings w with
+  | Some p when p.seq < x.x_scanned -> false
+  | _ -> x.x_test w
+
+let approx_words_tested t = Atomic.get t.approx_tested
+
 let candidate_docs_approx ?within t ~word ~errors =
-  let word = key t word in
-  let blocks = Bitset.create () in
-  Hashtbl.iter
-    (fun w bm -> if Agrep.word_matches ~pattern:word ~errors w then Bitset.union_into blocks bm)
-    t.postings;
-  let base = expand ?within t blocks in
-  match t.cold with
-  | None -> base
+  let x = approx_expansion t ~word ~errors in
+  let clip s = match within with None -> s | Some wset -> Fileset.inter s wset in
+  let resident =
+    if t.use_cas then
+      SSet.fold
+        (fun w acc -> Fileset.union acc (clip (Cas.word_candidates t.cas w)))
+        x.x_resident Fileset.empty
+    else begin
+      let blocks = Bitset.create () in
+      SSet.iter
+        (fun w ->
+          match Hashtbl.find_opt t.postings w with
+          | Some p -> Bitset.union_into blocks p.blocks
+          | None -> ())
+        x.x_resident;
+      expand ?within t blocks
+    end
+  in
+  match x.x_cold with
+  | None -> resident
   | Some cold ->
       (* Adopted documents' vocabulary lives only in segment directories;
-         sweep it for near-matches too or approximate queries would go
-         blind to everything a fast mount did not reindex. *)
-      let c =
-        List.fold_left
-          (fun acc w ->
-            if Agrep.word_matches ~pattern:word ~errors w then
-              Fileset.union acc (cold_docs t (Cas.word_key w))
-            else acc)
-          base (cold.words ())
-      in
-      (match within with None -> c | Some wset -> Fileset.inter c wset)
+         its near-matches must be candidates too or approximate queries
+         would go blind to everything a fast mount did not reindex. *)
+      SSet.fold
+        (fun w acc -> Fileset.union acc (clip (cold_docs t (Cas.word_key w))))
+        cold resident
 
 let vocabulary t =
   let resident = Hashtbl.fold (fun w _ acc -> w :: acc) t.postings [] in
@@ -365,7 +508,7 @@ let term_cost ?under t w =
   let w = key t w in
   let resident =
     if t.use_cas then Cas.word_cost ?under t.cas w
-    else blocks_cost t (Hashtbl.find_opt t.postings w)
+    else blocks_cost t (Option.map (fun p -> p.blocks) (Hashtbl.find_opt t.postings w))
   in
   resident + cold_cost t (Cas.word_key w)
 
@@ -387,6 +530,9 @@ let rebuild t reader =
      dropping the provider here is what ultimately retires segment files. *)
   t.cold <- None;
   Hashtbl.reset t.postings;
+  t.vlog <- Array.make 256 "";
+  t.vlog_len <- 0;
+  drop_expansions t;
   Hashtbl.reset t.attr_postings;
   Cas.reset t.cas;
   for id = 0 to t.next_id - 1 do
@@ -406,7 +552,7 @@ let index_bytes t =
   let word = Sys.int_size / 8 + 1 in
   let postings_bytes =
     Hashtbl.fold
-      (fun w bm acc -> acc + String.length w + (2 * word) + Bitset.byte_size bm)
+      (fun w p acc -> acc + String.length w + (3 * word) + Bitset.byte_size p.blocks)
       t.postings 0
     + Hashtbl.fold
         (fun (a, v) bm acc ->
@@ -427,7 +573,8 @@ let index_bytes t =
     done;
     !acc
   in
-  postings_bytes + dir_bytes + docs_bytes + (cas_stats t).Cas.bytes
+  let log_bytes = Array.length t.vlog * word in
+  postings_bytes + log_bytes + dir_bytes + docs_bytes + (cas_stats t).Cas.bytes
 
 let stale_ratio t =
   let live = doc_count t in

@@ -79,10 +79,13 @@ val set_cold :
     are unioned into every candidate answer (masked by the live universe and
     trimmed by verification — an over-broad provider costs work, never
     correctness), its costs added to {!term_cost}/{!attr_cost}, and its
-    [words] swept by approximate queries. *)
+    [words] swept once by each cached vocabulary expansion (so [words]
+    must already list every word the provider can answer for; later
+    additions must also be resident).  Drops cached expansions. *)
 
 val clear_cold : t -> unit
-(** Remove the cold provider ({!rebuild} also does). *)
+(** Remove the cold provider ({!rebuild} also does); drops cached
+    expansions. *)
 
 val has_cold : t -> bool
 
@@ -117,8 +120,48 @@ val candidate_docs :
 
 val candidate_docs_approx :
   ?within:Hac_bitset.Fileset.t -> t -> word:string -> errors:int -> Hac_bitset.Fileset.t
-(** Union of {!candidate_docs} over every vocabulary word within the given
-    edit distance of [word] — Glimpse's approximate-query expansion. *)
+(** Live documents that may contain a word within the given edit distance of
+    [word] (after stemming) — Glimpse's approximate-query expansion, a
+    superset of the true answer.  The matched vocabulary comes from the
+    cached {!approx_expansion}, so repeated lookups agrep only the words
+    indexed since the previous one; candidates are the matched words'
+    doc-granular CAS postings (Glimpse block postings with CAS off) plus
+    the cold provider's postings for matched cold words.  [?within]
+    intersects the answer with the given set. *)
+
+(** {1 Vocabulary expansions}
+
+    The resident vocabulary is kept in first-posting order (the vocabulary
+    log).  An expansion is the set of vocabulary keys an approximate term or
+    a required regex literal selects; it is cached per pattern and extended
+    on each request by sweeping only the log tail appended since its last
+    sweep, plus the cold provider's [words] once per installed provider.
+    {!rebuild}, {!set_cold} and {!clear_cold} drop every cached expansion.
+    Requests are safe from worker domains while the index is not mutated;
+    a returned expansion is immutable. *)
+
+type expansion
+
+val approx_expansion : t -> word:string -> errors:int -> expansion
+(** The keys within [errors] edits of [word]'s key ({!Agrep.word_matches}),
+    swept up to the current vocabulary. *)
+
+val literal_expansion : t -> string -> expansion
+(** The keys containing the literal as a substring, plus every key of
+    {!Tokenizer.max_word_len} characters (possibly truncated tokens) — the
+    regex narrowing set of an unstemmed index. *)
+
+val expansion_words : expansion -> string list
+(** Matched keys, resident and cold, sorted and de-duplicated. *)
+
+val expansion_matches : t -> expansion -> string -> bool
+(** Whether a key satisfies the expansion's test.  Swept keys are decided
+    by membership alone; other keys (not indexed yet, cold-only) run the
+    test itself.  Always equal to running the test. *)
+
+val approx_words_tested : t -> int
+(** Vocabulary keys agrepped by approximate expansions over the index's
+    lifetime — the work the expansion cache bounds by new vocabulary. *)
 
 val doc_ids_under : t -> string -> Hac_bitset.Fileset.t
 (** Live documents at or below a (normalized, absolute) directory path —
@@ -173,8 +216,9 @@ val vocabulary_size : t -> int
 (** Number of distinct indexed words. *)
 
 val rebuild : t -> (doc_id -> string option) -> unit
-(** Drop all postings and reindex every live document from the reader —
-    reclaims stale bits left by removals and updates. *)
+(** Drop all postings, the vocabulary log and cached expansions, and
+    reindex every live document from the reader — reclaims stale bits left
+    by removals and updates. *)
 
 val index_bytes : t -> int
 (** Estimated byte size of the index structures (vocabulary + block bitmaps

@@ -168,9 +168,7 @@ let contains_word idx ~content ~word =
   if Index.stemming idx then begin
     (* Stemmed comparison needs materialised tokens. *)
     let wk = Stemmer.stem w in
-    let found = ref false in
-    Tokenizer.iter_words content (fun x -> if Stemmer.stem x = wk then found := true);
-    !found
+    Tokenizer.exists_word content (fun x -> Stemmer.stem x = wk)
   end
   else Tokenizer.contains_word content w
 
@@ -310,55 +308,50 @@ let search_phrase ?probe ?within ?under ?cache idx reader words =
           verify ?probe idx reader (fun content -> contains_phrase ~content words) candidates
       | Some c -> verify_entry ?probe c idx reader (fun e -> entry_has_phrase e words) candidates)
 
+(* Verification decides each distinct key through the cached expansion:
+   membership for every swept key, the edit-distance DP only for keys the
+   index has not seen (content not reindexed yet, cold-only words). *)
 let search_approx ?probe ?within ?cache idx reader ~word ~errors =
   let word = String.lowercase_ascii word in
   let candidates = expanded ?probe (Index.candidate_docs_approx ?within idx ~word ~errors) in
   tick probe (fun p -> p.postings_scanned <- p.postings_scanned + Fileset.cardinal candidates);
   let candidates = restrict ?probe within candidates in
+  let x = Index.approx_expansion idx ~word ~errors in
+  let hit k = Index.expansion_matches idx x k in
   match cache with
   | None ->
-      let pred content =
-        let found = ref false in
-        Tokenizer.iter_words content (fun x ->
-            if Agrep.word_matches ~pattern:(key idx word) ~errors (key idx x) then found := true)
-        ;
-        !found
-      in
-      verify ?probe idx reader pred candidates
+      verify ?probe idx reader
+        (fun content -> Tokenizer.exists_word content (fun w -> hit (key idx w)))
+        candidates
   | Some c ->
+      (* [to_seq_keys] only reads the shared table; [Hashtbl.iter] would
+         write its traversal flag from several domains at once. *)
       verify_entry ?probe c idx reader
-        (fun e ->
-          List.exists
-            (fun x -> Agrep.word_matches ~pattern:(key idx word) ~errors (key idx x))
-            (entry_tokens e))
+        (fun e -> Seq.exists hit (Hashtbl.to_seq_keys (entry_keys idx e)))
         candidates
 
 let search_substring ?probe idx reader pattern =
   let pred content = Agrep.find_exact ~pattern content <> None in
   verify ?probe idx reader pred (expanded ?probe (Index.universe idx))
 
-let contains_substring hay needle =
-  Agrep.find_exact ~pattern:needle hay <> None
-
 let search_regex ?probe ?within ?under ?cache idx reader pattern =
   let re = Regex.compile pattern in
   let candidates =
     (* A literal run required by every match must appear inside some token
-       of the document; scanning the vocabulary for it is sound as long as
-       the vocabulary holds raw (unstemmed) tokens.  Tokens longer than
-       [max_word_len] were truncated, so they are always candidates. *)
+       of the document; narrowing to the vocabulary words holding it (the
+       cached literal expansion) is sound as long as the vocabulary holds raw
+       (unstemmed) tokens.  Tokens longer than [max_word_len] were truncated,
+       so the expansion always selects them. *)
     match Regex.required_word re with
     | Some run when (not (Index.stemming idx)) && String.length run <= Tokenizer.max_word_len
       ->
         List.fold_left
           (fun acc w ->
-            if String.length w = Tokenizer.max_word_len || contains_substring w run then begin
-              tick probe (fun p ->
-                  p.postings_scanned <- p.postings_scanned + Index.term_cost ?under idx w);
-              Fileset.union acc (Index.candidate_docs ?within ?under idx w)
-            end
-            else acc)
-          Fileset.empty (Index.vocabulary idx)
+            tick probe (fun p ->
+                p.postings_scanned <- p.postings_scanned + Index.term_cost ?under idx w);
+            Fileset.union acc (Index.candidate_docs ?within ?under idx w))
+          Fileset.empty
+          (Index.expansion_words (Index.literal_expansion idx run))
     | Some _ | None -> ( match within with Some w -> w | None -> Index.universe idx)
   in
   let candidates = restrict ?probe within (expanded ?probe candidates) in

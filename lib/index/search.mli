@@ -116,7 +116,10 @@ val search_approx :
   errors:int ->
   Hac_bitset.Fileset.t
 (** Documents containing some word within the given edit distance — the
-    [~term] query form. *)
+    [~term] query form.  Candidates come from {!Index.candidate_docs_approx};
+    each distinct word of a candidate is decided through the cached
+    {!Index.approx_expansion}, so only words the index has not swept pay
+    for the edit-distance computation. *)
 
 val search_substring : ?probe:probe -> Index.t -> reader -> string -> Hac_bitset.Fileset.t
 (** Documents whose raw contents contain the byte string (bitap scan over
@@ -134,8 +137,10 @@ val search_regex :
 (** Documents whose raw contents match the regular expression (the [/re/]
     query term).  When the pattern syntactically requires a literal word
     ({!Regex.required_word}) and the index is unstemmed, candidates are
-    narrowed through the vocabulary first, as Glimpse extracts literals from
-    regular expressions; otherwise every live document is scanned.  Raises
+    narrowed through the vocabulary words holding it
+    ({!Index.literal_expansion}, cached and extended like approximate
+    expansions), as Glimpse extracts literals from regular expressions;
+    otherwise every live document is scanned.  Raises
     {!Regex.Parse_error} on a malformed pattern. *)
 
 val matching_lines :

@@ -27,6 +27,12 @@ let iter_words text f =
   done;
   flush ()
 
+let exists_word text p =
+  let exception Found in
+  match iter_words text (fun w -> if p w then raise_notrace Found) with
+  | () -> false
+  | exception Found -> true
+
 let words text =
   let acc = ref [] in
   iter_words text (fun w -> acc := w :: !acc);

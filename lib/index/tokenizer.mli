@@ -15,6 +15,10 @@ val iter_words : string -> (string -> unit) -> unit
 (** Apply the callback to every word of the text, in order, duplicates
     included. *)
 
+val exists_word : string -> (string -> bool) -> bool
+(** Whether some word of the text satisfies the predicate; stops at the
+    first that does. *)
+
 val words : string -> string list
 (** All words in order, duplicates included. *)
 

@@ -136,6 +136,21 @@ let test_fileset_persistent_add_remove () =
   check_bool "remove absent is equal" true (Fileset.equal s (Fileset.remove s 42));
   check_bool "add present is equal" true (Fileset.equal s (Fileset.add s 5))
 
+(* Adding into a bitmap container until it is one interval must land on the
+   canonical run shape, or [equal] (structural on containers) would tell
+   equal sets apart by the order they were built in. *)
+let test_fileset_add_canonical () =
+  let rand = Random.State.make [| 7 |] in
+  let ids = Array.init 5000 Fun.id in
+  for i = Array.length ids - 1 downto 1 do
+    let j = Random.State.int rand (i + 1) in
+    let t = ids.(i) in
+    ids.(i) <- ids.(j);
+    ids.(j) <- t
+  done;
+  let built = Array.fold_left Fileset.add Fileset.empty ids in
+  check_bool "shuffled adds equal the range" true (Fileset.equal built (Fileset.range 0 4999))
+
 let test_fileset_small_setops () =
   let a = Fileset.of_list [ 1; 3; 5 ] and b = Fileset.of_list [ 2; 3; 6 ] in
   check_list "union" [ 1; 2; 3; 5; 6 ] (Fileset.elements (Fileset.union a b));
@@ -451,6 +466,7 @@ let () =
           Alcotest.test_case "mixed-repr operations" `Quick test_fileset_ops_mixed_repr;
           Alcotest.test_case "small-set basics" `Quick test_fileset_small_basic;
           Alcotest.test_case "persistent add/remove" `Quick test_fileset_persistent_add_remove;
+          Alcotest.test_case "add keeps the canonical shape" `Quick test_fileset_add_canonical;
           Alcotest.test_case "small-set operations" `Quick test_fileset_small_setops;
           Alcotest.test_case "filter" `Quick test_fileset_filter;
           Alcotest.test_case "empty range" `Quick test_fileset_empty_range;

@@ -277,6 +277,242 @@ let prop_block_size_invariant =
           Fileset.equal (Search.search_word i1 r w) (Search.search_word i3 r w))
         [ "aa"; "ab"; "ba"; "cc"; "abc" ])
 
+(* -- incremental vocabulary expansion ---------------------------------------------
+
+   Approximate terms and regex literals expand through a cached sweep of the
+   vocabulary log.  A model run drives an index through random add, update,
+   remove, rebuild, fast-mount adoption behind a cold provider, and cold
+   clears, interleaved with queries, so words regularly first appear after a
+   pattern was cached.  Every query is checked against a brute-force scan of
+   the model's contents, under stemming on/off and CAS on/off. *)
+
+let x_words =
+  [| "green"; "gren"; "grain"; "greene"; "red"; "reed"; "read"; "blue"; "blues"; "glue";
+     "cyan"; "cyans"; "running"; "runner"; "runs"; "queries"; "query"; "xylophonist" |]
+
+let x_patterns = [| "gren"; "red"; "blu"; "cyan"; "run"; "query" |]
+
+let x_regexes = [| "gre+n"; "re.d"; "cyan"; "run+"; "quer"; "blue|glue"; "^gr" |]
+
+let x_paths = Array.init 6 (Printf.sprintf "/d%d/f.txt")
+
+type xop =
+  | X_add of int * int list (* path slot, word slots: add or update *)
+  | X_remove of int
+  | X_rebuild
+  | X_mount of int * int list (* adopt a new path behind a fresh cold provider *)
+  | X_clear_cold
+  | X_query of int * int (* pattern slot, errors *)
+  | X_regex of int
+
+let pp_xop = function
+  | X_add (p, ws) -> Printf.sprintf "Add(%d,[%s])" p (String.concat "," (List.map string_of_int ws))
+  | X_remove p -> Printf.sprintf "Remove(%d)" p
+  | X_rebuild -> "Rebuild"
+  | X_mount (p, ws) ->
+      Printf.sprintf "Mount(%d,[%s])" p (String.concat "," (List.map string_of_int ws))
+  | X_clear_cold -> "ClearCold"
+  | X_query (q, e) -> Printf.sprintf "Query(%d,%d)" q e
+  | X_regex r -> Printf.sprintf "Regex(%d)" r
+
+let gen_xop =
+  let slot n = QCheck.Gen.int_bound (n - 1) in
+  let words = QCheck.Gen.(list_size (int_range 1 4) (slot (Array.length x_words))) in
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun p ws -> X_add (p, ws)) (slot (Array.length x_paths)) words);
+        (2, map (fun p -> X_remove p) (slot (Array.length x_paths)));
+        (1, return X_rebuild);
+        (2, map2 (fun p ws -> X_mount (p, ws)) (slot (Array.length x_paths)) words);
+        (1, return X_clear_cold);
+        (5, map2 (fun q e -> X_query (q, e)) (slot (Array.length x_patterns)) (int_bound 2));
+        (2, map (fun r -> X_regex r) (slot (Array.length x_regexes)));
+      ])
+
+(* The model: live contents by path, and the adopted documents whose words
+   only the cold provider knows. *)
+type xmodel = {
+  idx : Index.t;
+  contents : (string, string) Hashtbl.t;
+  cold : (int, string) Hashtbl.t; (* adopted doc id -> content *)
+}
+
+let xkey idx w = if Index.stemming idx then Hac_index.Stemmer.stem w else w
+
+(* A cold provider answering from a snapshot of the adopted documents, keyed
+   like the on-disk segments ({!Hac_index.Cas.word_key}). *)
+let install_cold m =
+  let tbl = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun id content ->
+      Hac_index.Tokenizer.iter_words content (fun w ->
+          let k = xkey m.idx w in
+          let s = Option.value ~default:Fileset.empty (Hashtbl.find_opt tbl k) in
+          Hashtbl.replace tbl k (Fileset.add s id)))
+    m.cold;
+  let lookup key =
+    Hashtbl.fold
+      (fun w ids acc -> if Hac_index.Cas.word_key w = key then ids else acc)
+      tbl Fileset.empty
+  in
+  Index.set_cold m.idx ~lookup
+    ~cost:(fun key -> Fileset.cardinal (lookup key))
+    ~words:(fun () -> Hashtbl.fold (fun w _ acc -> w :: acc) tbl [])
+
+let x_content ws = String.concat " " (List.map (fun i -> x_words.(i)) ws)
+
+let x_reader m path = Hashtbl.find_opt m.contents path
+
+let x_truth m pred =
+  Hashtbl.fold
+    (fun path content acc ->
+      if pred content then Fileset.add acc (Option.get (Index.doc_of_path m.idx path)) else acc)
+    m.contents Fileset.empty
+
+let x_check_approx m word errors =
+  let pattern = xkey m.idx word in
+  let want =
+    x_truth m (fun content ->
+        Hac_index.Tokenizer.exists_word content (fun x ->
+            Hac_index.Agrep.word_matches ~pattern ~errors (xkey m.idx x)))
+  in
+  let r = x_reader m in
+  Fileset.subset want (Index.candidate_docs_approx m.idx ~word ~errors)
+  && Fileset.equal want (Search.search_approx m.idx r ~word ~errors)
+  && Fileset.equal want
+       (Search.search_approx ~cache:(Search.doc_cache ()) m.idx r ~word ~errors)
+
+let x_check_regex m pattern =
+  let re = Hac_index.Regex.compile pattern in
+  let want = x_truth m (Hac_index.Regex.matches re) in
+  let r = x_reader m in
+  Fileset.equal want (Search.search_regex m.idx r pattern)
+  && Fileset.equal want (Search.search_regex ~cache:(Search.doc_cache ()) m.idx r pattern)
+
+let x_apply m = function
+  | X_add (p, ws) ->
+      let path = x_paths.(p) and content = x_content ws in
+      let id = Index.update_document m.idx ~path ~content in
+      Hashtbl.replace m.contents path content;
+      Hashtbl.remove m.cold id;
+      true
+  | X_remove p ->
+      (match Index.doc_of_path m.idx x_paths.(p) with
+      | Some id -> Hashtbl.remove m.cold id
+      | None -> ());
+      Index.remove_path m.idx x_paths.(p);
+      Hashtbl.remove m.contents x_paths.(p);
+      true
+  | X_rebuild ->
+      Index.rebuild m.idx (fun id -> Option.bind (Index.doc_path m.idx id) (x_reader m));
+      Hashtbl.reset m.cold;
+      true
+  | X_mount (p, ws) ->
+      let path = x_paths.(p) in
+      (if Index.doc_of_path m.idx path = None then begin
+         let id = Index.next_doc_id m.idx in
+         Index.adopt_document m.idx ~id ~path;
+         Hashtbl.replace m.contents path (x_content ws);
+         Hashtbl.replace m.cold id (x_content ws)
+       end);
+      if Hashtbl.length m.cold > 0 then install_cold m;
+      true
+  | X_clear_cold ->
+      (* Reindex the adopted documents first, as their dirty path would:
+         clearing the provider must not hide them. *)
+      Hashtbl.iter
+        (fun id content ->
+          let path = Option.get (Index.doc_path m.idx id) in
+          ignore (Index.update_document m.idx ~path ~content))
+        m.cold;
+      Hashtbl.reset m.cold;
+      Index.clear_cold m.idx;
+      true
+  | X_query (q, e) -> x_check_approx m x_patterns.(q) e
+  | X_regex r -> x_check_regex m x_regexes.(r)
+
+(* Run the ops under one configuration; [Some op] names the first query
+   whose answer differed from brute force (the final sweep re-checks every
+   pattern and regex against the end state). *)
+let x_run ~stem ~cas ops =
+  let idx = Index.create ~block_size:2 ~stem () in
+  Index.set_use_cas idx cas;
+  let m = { idx; contents = Hashtbl.create 8; cold = Hashtbl.create 8 } in
+  let final =
+    List.concat
+      [
+        List.concat_map (fun q -> List.init 3 (fun e -> X_query (q, e)))
+          (List.init (Array.length x_patterns) Fun.id);
+        List.init (Array.length x_regexes) (fun r -> X_regex r);
+      ]
+  in
+  List.find_opt (fun op -> not (x_apply m op)) (ops @ final)
+
+let x_configs = [ (false, false); (false, true); (true, false); (true, true) ]
+
+let x_failure ops =
+  List.find_map
+    (fun (stem, cas) ->
+      Option.map
+        (fun op -> Printf.sprintf "stem=%b cas=%b: %s differs" stem cas (pp_xop op))
+        (x_run ~stem ~cas ops))
+    x_configs
+
+let prop_expansion_model =
+  QCheck.Test.make ~name:"incremental expansion equals brute force" ~count:150
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 4 40) gen_xop)
+       ~print:(fun ops -> String.concat "; " (List.map pp_xop ops)))
+    (fun ops ->
+      match x_failure ops with None -> true | Some msg -> QCheck.Test.fail_report msg)
+
+(* The same model run under pinned seeds, as plain test cases. *)
+let x_seeded seed () =
+  let rand = Random.State.make [| seed |] in
+  let ops = QCheck.Gen.generate1 ~rand QCheck.Gen.(list_size (int_range 60 120) gen_xop) in
+  Alcotest.(check (option string)) (Printf.sprintf "seed %d" seed) None (x_failure ops)
+
+(* The scripted life of one cached pattern: words that first appear after it
+   was cached, a fast mount, a cold clear and a rebuild, with the sweep
+   counter showing that each key is agrepped once per expansion. *)
+let test_expansion_lifecycle () =
+  let idx = Index.create ~block_size:1 ~stem:false () in
+  let m = { idx; contents = Hashtbl.create 8; cold = Hashtbl.create 8 } in
+  let step op = check_bool (pp_xop op) true (x_apply m op) in
+  let tested () = Index.approx_words_tested idx in
+  let gren = X_query (0, 1) in
+  step (X_add (0, [ 4 ])) (* red *);
+  step gren;
+  check_list "no near word yet" []
+    (Fileset.elements (Index.candidate_docs_approx idx ~word:"gren" ~errors:1));
+  let t0 = tested () in
+  step gren;
+  check_int "repeat sweeps nothing" t0 (tested ());
+  step (X_add (1, [ 0; 7 ])) (* green blue: two new words *);
+  let t1 = tested () in
+  ignore (Index.candidate_docs_approx idx ~word:"gren" ~errors:1);
+  check_int "new words swept once" (t1 + 2) (tested ());
+  check_list "new word found" (ids idx [ x_paths.(1) ])
+    (Fileset.elements (Search.search_approx idx (x_reader m) ~word:"gren" ~errors:1));
+  (* A held expansion stays exact for words indexed after it was taken. *)
+  let x = Index.approx_expansion idx ~word:"gren" ~errors:1 in
+  step (X_add (3, [ 1; 8 ])) (* gren blues *);
+  check_bool "later near word matches" true (Index.expansion_matches idx x "gren");
+  check_bool "later far word misses" false (Index.expansion_matches idx x "blues");
+  check_bool "swept far word misses" false (Index.expansion_matches idx x "blue");
+  step (X_mount (2, [ 2 ])) (* grain, cold only *);
+  check_bool "cold doc found at 2 errors" true
+    (Fileset.mem (Search.search_approx idx (x_reader m) ~word:"gren" ~errors:2)
+       (Option.get (Index.doc_of_path idx x_paths.(2))));
+  step (X_query (0, 2));
+  step gren;
+  step X_clear_cold;
+  step gren;
+  step X_rebuild;
+  step gren;
+  step (X_regex 0)
+
 let () =
   Alcotest.run "index"
     [
@@ -305,11 +541,17 @@ let () =
           Alcotest.test_case "word" `Quick test_search_word;
           Alcotest.test_case "phrase" `Quick test_search_phrase;
           Alcotest.test_case "approx" `Quick test_search_approx;
+          Alcotest.test_case "approx expansion lifecycle" `Quick test_expansion_lifecycle;
           Alcotest.test_case "substring" `Quick test_search_substring;
           Alcotest.test_case "matching lines" `Quick test_matching_lines;
           Alcotest.test_case "unreadable filtered" `Quick test_reader_failure_filters;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_block_size_invariant; prop_doc_ids_under_matches_scan ] );
+          [ prop_block_size_invariant; prop_doc_ids_under_matches_scan; prop_expansion_model ] );
+      ( "expansion seeds",
+        List.map
+          (fun seed ->
+            Alcotest.test_case (Printf.sprintf "seed %d" seed) `Quick (x_seeded seed))
+          [ 1; 2; 3 ] );
     ]

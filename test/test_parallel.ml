@@ -19,7 +19,8 @@ let sem_dirs = [| "/s0"; "/s1"; "/s2" |]
 (* Dirref queries give the dependency DAG real depth, so parallel runs
    schedule more than one level. *)
 let queries =
-  [| "red"; "green OR blue"; "blue AND NOT cyan"; "{/s0} AND green"; "red OR {/s1}" |]
+  [| "red"; "green OR blue"; "blue AND NOT cyan"; "{/s0} AND green"; "red OR {/s1}";
+     "~2~cyn AND NOT red"; "~gren OR {/s2}" |]
 
 type op =
   | Write of int * int
@@ -46,8 +47,8 @@ let gen_op =
         (6, map2 (fun f w -> Write (f, w)) (int_bound 4) (int_bound 3));
         (2, map (fun f -> Delete f) (int_bound 4));
         (2, map2 (fun a b -> Move (a, b)) (int_bound 4) (int_bound 4));
-        (3, map2 (fun d q -> Smkdir (d, q)) (int_bound 2) (int_bound 4));
-        (2, map2 (fun d q -> Schquery (d, q)) (int_bound 2) (int_bound 4));
+        (3, map2 (fun d q -> Smkdir (d, q)) (int_bound 2) (int_bound (Array.length queries - 1)));
+        (2, map2 (fun d q -> Schquery (d, q)) (int_bound 2) (int_bound (Array.length queries - 1)));
         (1, map2 (fun d r -> RemoveLink (d, r)) (int_bound 2) (int_bound 3));
         (1, map2 (fun d f -> AddPerm (d, f)) (int_bound 2) (int_bound 4));
       ])

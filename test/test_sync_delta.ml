@@ -14,7 +14,10 @@ module Fault = Hac_fault.Fault
 let files = [| "/d0/a.txt"; "/d0/b.txt"; "/d1/c.txt"; "/d1/d.txt"; "/d2/e.txt" |]
 let words = [| "red"; "green"; "blue"; "cyan" |]
 let sem_dirs = [| "/s0"; "/s1"; "/s2" |]
-let queries = [| "red"; "green OR blue"; "blue AND NOT cyan"; "red OR cyan" |]
+(* The approximate queries cover expansion staleness across settles: the
+   vocabulary grows between passes while their expansions stay cached. *)
+let queries =
+  [| "red"; "green OR blue"; "blue AND NOT cyan"; "red OR cyan"; "~gren"; "~2~cyn AND NOT red" |]
 
 type op =
   | Write of int * int (* file slot, word slot *)
@@ -43,8 +46,8 @@ let gen_op =
         (6, map2 (fun f w -> Write (f, w)) (int_bound 4) (int_bound 3));
         (2, map (fun f -> Delete f) (int_bound 4));
         (2, map2 (fun a b -> Move (a, b)) (int_bound 4) (int_bound 4));
-        (2, map2 (fun d q -> Smkdir (d, q)) (int_bound 2) (int_bound 3));
-        (1, map2 (fun d q -> Schquery (d, q)) (int_bound 2) (int_bound 3));
+        (2, map2 (fun d q -> Smkdir (d, q)) (int_bound 2) (int_bound (Array.length queries - 1)));
+        (1, map2 (fun d q -> Schquery (d, q)) (int_bound 2) (int_bound (Array.length queries - 1)));
         (1, map2 (fun d r -> RemoveLink (d, r)) (int_bound 2) (int_bound 3));
         (1, map2 (fun d f -> AddPerm (d, f)) (int_bound 2) (int_bound 4));
         (1, map2 (fun d f -> Unprohibit (d, f)) (int_bound 2) (int_bound 4));
