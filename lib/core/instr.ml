@@ -42,6 +42,7 @@ type t = {
   sync_from : Metrics.counter;
   sync_dirs : Metrics.counter;
   sync_changed : Metrics.counter;
+  sync_links_scanned : Metrics.counter;
   reindex_files : Metrics.counter;
   index_rebuilds : Metrics.counter;
   par_levels : Metrics.counter;
@@ -52,6 +53,7 @@ type t = {
   doc_cache_hits : Metrics.counter;
   doc_cache_misses : Metrics.counter;
   doc_cache_uncached : Metrics.counter;
+  docs_tokenized : Metrics.counter;
   generation : Metrics.gauge;
   pass_dirs : Metrics.histogram;
 }
@@ -110,6 +112,7 @@ let create ~now () =
     sync_from = Metrics.counter m "sync.from.count";
     sync_dirs = Metrics.counter m "sync.dirs_reevaluated";
     sync_changed = Metrics.counter m "sync.dirs_changed";
+    sync_links_scanned = Metrics.counter m "sync.links_scanned";
     reindex_files = Metrics.counter m "sync.reindex.files";
     index_rebuilds = Metrics.counter m "sync.index.rebuilds";
     par_levels = Metrics.counter m "sync.par.levels";
@@ -120,6 +123,7 @@ let create ~now () =
     doc_cache_hits = Metrics.counter m "pass.doc_cache.hits";
     doc_cache_misses = Metrics.counter m "pass.doc_cache.misses";
     doc_cache_uncached = Metrics.counter m "pass.doc_cache.uncached";
+    docs_tokenized = Metrics.counter m "index.docs_tokenized";
     generation = Metrics.gauge m "scope.generation";
     pass_dirs = Metrics.histogram m "sync.pass.dirs";
   }

@@ -68,6 +68,9 @@ type t = {
   sync_from : Hac_obs.Metrics.counter;
   sync_dirs : Hac_obs.Metrics.counter;
   sync_changed : Hac_obs.Metrics.counter;
+  sync_links_scanned : Hac_obs.Metrics.counter;
+      (** Target-index entries delta apply visited while patching the
+          transient links of materialised directories. *)
   reindex_files : Hac_obs.Metrics.counter;
   index_rebuilds : Hac_obs.Metrics.counter;
   par_levels : Hac_obs.Metrics.counter;
@@ -83,6 +86,9 @@ type t = {
       (** Per-pass doc-cache misses (first read of a path in a pass). *)
   doc_cache_uncached : Hac_obs.Metrics.counter;
       (** Doc-cache lookups served uncached (past the byte budget). *)
+  docs_tokenized : Hac_obs.Metrics.counter;
+      (** Document key sets the pass doc cache built by tokenizing content
+          (entries seeded from the reindex arrive with theirs). *)
   generation : Hac_obs.Metrics.gauge;
   pass_dirs : Hac_obs.Metrics.histogram;
 }

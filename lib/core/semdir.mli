@@ -18,12 +18,21 @@ type remote_result = {
 }
 (** One remote entry in the current query result. *)
 
+module Names : Map.S with type key = string
+(** Maps keyed by link name, in [String.compare] order. *)
+
 type t = {
   uid : int;  (** The directory's identifier in the global map. *)
   mutable query : Hac_query.Ast.t;  (** Dirrefs are installed ([Ref_uid]). *)
-  links : (string, Link.t) Hashtbl.t;
+  mutable links : Link.t Names.t;
       (** {e Physically present} links, by link name: permanent ones, and
-          transient ones once materialised. *)
+          transient ones once materialised.  Written only through
+          {!add_link} and {!remove_link}, which keep the two tables below
+          in step. *)
+  by_target : (string, Link.t list) Hashtbl.t;
+      (** Present links by target key, each list sorted by name. *)
+  permanent : (string, int) Hashtbl.t;
+      (** Number of present permanent links per target key. *)
   mutable transient_local : Hac_bitset.Fileset.t;
       (** The current local query result — the paper's per-directory result
           bitmap (N/8 bytes when dense). *)
@@ -49,7 +58,14 @@ val find_link : t -> string -> Link.t option
 (** Present link by name. *)
 
 val link_by_target : t -> Link.target -> Link.t option
-(** Present link by target key, if any. *)
+(** Present link by target key, if any — when several links share the
+    target, the one with the smallest name.  O(1) in the number of links. *)
+
+val links_to_key : t -> string -> Link.t list
+(** Every present link whose target key is the given one, sorted by name. *)
+
+val is_permanent_key : t -> string -> bool
+(** Whether some present permanent link targets the key. *)
 
 val add_link : t -> Link.t -> unit
 (** Record a present link (replaces any record under the same name). *)

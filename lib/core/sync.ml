@@ -71,13 +71,17 @@ type pass = {
   cache : Search.doc_cache option;
 }
 
-let fresh_pass (ctx : Ctx.t) =
-  if ctx.pass_caches then
-    {
-      scopes = Hashtbl.create 16;
-      memo = Some (Search.term_memo ());
-      cache = Some (Search.doc_cache ());
-    }
+(* [seed] lists documents the reindex just read and tokenized, as
+   (path, content, key set): the pass cache starts out holding them, so
+   their verifications never re-read or re-tokenize them. *)
+let fresh_pass ?(seed = []) (ctx : Ctx.t) =
+  if ctx.pass_caches then begin
+    let cache = Search.doc_cache () in
+    List.iter
+      (fun (path, content, keys) -> Search.seed_doc_cache cache ~path ~content ~keys)
+      seed;
+    { scopes = Hashtbl.create 16; memo = Some (Search.term_memo ()); cache = Some cache }
+  end
   else { scopes = Hashtbl.create 16; memo = None; cache = None }
 
 (* Fold the pass caches' totals into the instance counters once, at pass
@@ -96,7 +100,8 @@ let flush_pass (ctx : Ctx.t) pass =
       let s = Search.doc_cache_stats c in
       Hac_obs.Metrics.incr ~by:s.Search.cache_hits i.Instr.doc_cache_hits;
       Hac_obs.Metrics.incr ~by:s.Search.cache_misses i.Instr.doc_cache_misses;
-      Hac_obs.Metrics.incr ~by:s.Search.cache_uncached i.Instr.doc_cache_uncached
+      Hac_obs.Metrics.incr ~by:s.Search.cache_uncached i.Instr.doc_cache_uncached;
+      Hac_obs.Metrics.incr ~by:s.Search.cache_tokenized i.Instr.docs_tokenized
   | None -> ()
 
 let scope_in pass ctx uid =
@@ -486,19 +491,13 @@ let materialize (ctx : Ctx.t) (sd : Semdir.t) =
   end
 
 let exclusion_filter (ctx : Ctx.t) (sd : Semdir.t) ~path set =
-  let prohibited key = Semdir.is_prohibited sd key in
-  let permanent_key key =
-    List.exists
-      (fun l -> Link.target_key l.Link.target = key)
-      (Semdir.links_of_cls sd Link.Permanent)
-  in
   Fileset.filter
     (fun id ->
       match Index.doc_path ctx.index id with
       | Some p ->
           (not (Vpath.is_prefix ~prefix:path p))
-          && (not (prohibited p))
-          && not (permanent_key p)
+          && (not (Semdir.is_prohibited sd p))
+          && not (Semdir.is_permanent_key sd p)
       | None -> false)
     set
 
@@ -534,12 +533,6 @@ let parent_scope pass (ctx : Ctx.t) uid =
    that writes, on the calling domain. *)
 let apply_full pass (ctx : Ctx.t) (sd : Semdir.t) ~path ~pscope ~fp new_local =
   let uid = sd.Semdir.uid in
-  let prohibited key = Semdir.is_prohibited sd key in
-  let permanent_key key =
-    List.exists
-      (fun l -> Link.target_key l.Link.target = key)
-      (Semdir.links_of_cls sd Link.Permanent)
-  in
   (* 3. New remote result: inherited parent links that match, plus fresh
         results from visible mount points; same exclusions.  Namespace
         failures are collected rather than propagated — a re-evaluation
@@ -560,8 +553,8 @@ let apply_full pass (ctx : Ctx.t) (sd : Semdir.t) ~path ~pscope ~fp new_local =
       let consider_remote ~stale ~ns_id ~uri ~name =
         if
           (not (Hashtbl.mem seen_remote uri))
-          && (not (prohibited uri))
-          && not (permanent_key uri)
+          && (not (Semdir.is_prohibited sd uri))
+          && not (Semdir.is_permanent_key sd uri)
         then begin
           Hashtbl.replace seen_remote uri ();
           if stale then ctx.stale_serves <- ctx.stale_serves + 1;
@@ -755,10 +748,10 @@ let run_level pool pass (ctx : Ctx.t) prestage level =
 
 (* One pass over the given levels; returns how many directories it
    scheduled. *)
-let run_pass ?(pool = inline_pool) (ctx : Ctx.t) prestage levels =
+let run_pass ?(pool = inline_pool) ?seed (ctx : Ctx.t) prestage levels =
   if Hac_par.Pool.size pool > 1 then
     Hac_obs.Metrics.set ctx.instr.Instr.par_domains (float_of_int (Hac_par.Pool.size pool));
-  let pass = fresh_pass ctx in
+  let pass = fresh_pass ?seed ctx in
   List.iter (run_level pool pass ctx prestage) levels;
   flush_pass ctx pass;
   List.fold_left (fun acc l -> acc + List.length l) 0 levels
@@ -800,13 +793,20 @@ let sync_from ?pool (ctx : Ctx.t) uid =
       run_pass ?pool ctx prestage_full
         (Depgraph.levels_of ctx.deps (uid :: Depgraph.affected ctx.deps uid)))
 
-let sync_all ?pool (ctx : Ctx.t) =
+let full_pass ?pool ?seed (ctx : Ctx.t) =
   pass_span ctx ~name:"sync.full" ~counter:ctx.instr.Instr.sync_full (fun () ->
-      run_pass ?pool ctx prestage_full (Depgraph.levels ctx.deps))
+      run_pass ?pool ?seed ctx prestage_full (Depgraph.levels ctx.deps))
+
+let sync_all ?pool ctx = full_pass ?pool ctx
 
 (* -- data consistency (section 2.4) --------------------------------------- *)
 
-type delta = { touched : Fileset.t; removed : Fileset.t }
+type delta = {
+  touched : Fileset.t;
+  removed : Fileset.t;
+  removed_paths : (Index.doc_id, string) Hashtbl.t;
+  reindexed : (string * string * (string, unit) Hashtbl.t) list;
+}
 
 let reindex_with_delta (ctx : Ctx.t) ?under () =
   let i = ctx.instr in
@@ -832,10 +832,15 @@ let reindex_with_delta (ctx : Ctx.t) ?under () =
   in
   let touched = ref Fileset.empty in
   let removed = ref Fileset.empty in
+  let removed_paths = Hashtbl.create 8 in
+  let reindexed = ref [] in
   let forget path =
     (match Index.doc_of_path ctx.index path with
     | Some id ->
         removed := Fileset.add !removed id;
+        (* Once removed the id no longer maps back to its path, which
+           delta apply needs to find the document's links. *)
+        Hashtbl.replace removed_paths id path;
         Option.iter (fun s -> Hac_store.Store.forget_doc s id) ctx.store
     | None -> ());
     Index.remove_path ctx.index path
@@ -846,8 +851,9 @@ let reindex_with_delta (ctx : Ctx.t) ?under () =
       if Fs.is_file ctx.fs path then
         match read_interposed path with
         | content ->
-            let id = Index.update_document ctx.index ~path ~content in
+            let id, keys = Index.update_document_keys ctx.index ~path ~content in
             touched := Fileset.add !touched id;
+            reindexed := (path, content, keys) :: !reindexed;
             (* The settled body becomes the block store's copy — from here
                until the path dirties again, verification reads serve from
                the cache instead of the tree.  Maintenance mode: the block
@@ -882,7 +888,8 @@ let reindex_with_delta (ctx : Ctx.t) ?under () =
   if paths <> [] then Ctx.bump_generation ctx;
   Hac_obs.Metrics.incr ~by:(List.length paths) i.Instr.reindex_files;
   Hac_obs.Trace.set_attr_int i.Instr.tracer "files" (List.length paths);
-  (List.length paths, { touched = !touched; removed = !removed }))
+  ( List.length paths,
+    { touched = !touched; removed = !removed; removed_paths; reindexed = !reindexed } ))
 
 let reindex (ctx : Ctx.t) ?under () = fst (reindex_with_delta ctx ?under ())
 
@@ -909,8 +916,12 @@ let reindex (ctx : Ctx.t) ?under () = fst (reindex_with_delta ctx ?under ())
    must reach the same transient-link fixpoint. *)
 
 (* Write back one directory's delta re-evaluation, given the
-   exclusion-filtered additions among its candidates. *)
-let apply_delta pass (ctx : Ctx.t) (sd : Semdir.t) ~path ~delta_all adds =
+   exclusion-filtered additions among its candidates.  Link patching visits
+   only the documents whose membership moved: members that left the result
+   lose their transient links, found through the target index by path
+   (from the delta for removed documents, which no longer map back to
+   one), and additions gain a link where none exists. *)
+let apply_delta pass (ctx : Ctx.t) (sd : Semdir.t) ~path ~delta ~delta_all adds =
   Hac_obs.Metrics.incr ctx.instr.Instr.sync_dirs;
   let old_local = sd.Semdir.transient_local in
   let new_local = Fileset.union adds (Fileset.diff old_local delta_all) in
@@ -918,36 +929,41 @@ let apply_delta pass (ctx : Ctx.t) (sd : Semdir.t) ~path ~delta_all adds =
   if changed then begin
     Hac_obs.Metrics.incr ctx.instr.Instr.sync_changed;
     sd.Semdir.transient_local <- new_local;
-    if sd.Semdir.materialized then
+    if sd.Semdir.materialized then begin
+      let scanned = ref 0 in
+      let path_of id =
+        match Hashtbl.find_opt delta.removed_paths id with
+        | Some _ as p -> p
+        | None -> Index.doc_path ctx.index id
+      in
       Ctx.with_maintenance ctx (fun () ->
-          (* Drop transient links whose target left the result or the
-             index; only delta documents can be affected, but removed
-             documents no longer map back to an id, so walk the links and
-             keep exactly those still in the result. *)
-          List.iter
-            (fun l ->
-              match l.Link.target with
-              | Link.Local p ->
-                  let keep =
-                    match Index.doc_of_path ctx.index p with
-                    | Some id -> Fileset.mem new_local id
-                    | None -> false
-                  in
-                  if not keep then begin
-                    ignore (Semdir.remove_link sd l.Link.name);
-                    let lpath = Vpath.join path l.Link.name in
-                    if Fs.is_symlink ctx.fs lpath then Fs.unlink ctx.fs lpath
-                  end
-              | Link.Remote _ -> ())
-            (Semdir.links_of_cls sd Link.Transient);
+          Fileset.iter
+            (fun id ->
+              match path_of id with
+              | None -> ()
+              | Some p ->
+                  List.iter
+                    (fun l ->
+                      incr scanned;
+                      match (l.Link.cls, l.Link.target) with
+                      | Link.Transient, Link.Local _ ->
+                          ignore (Semdir.remove_link sd l.Link.name);
+                          let lpath = Vpath.join path l.Link.name in
+                          if Fs.is_symlink ctx.fs lpath then Fs.unlink ctx.fs lpath
+                      | _ -> ())
+                    (Semdir.links_to_key sd p))
+            (Fileset.diff (Fileset.inter old_local delta_all) new_local);
           Fileset.iter
             (fun id ->
               match Index.doc_path ctx.index id with
               | Some p ->
+                  incr scanned;
                   if Semdir.link_by_target sd (Link.Local p) = None then
                     create_transient_link ctx sd ~path ~target:(Link.Local p) ~name_hint:None
               | None -> ())
             adds);
+      Hac_obs.Metrics.incr ~by:!scanned ctx.instr.Instr.sync_links_scanned
+    end;
     Ctx.bump_generation ctx;
     Hashtbl.remove pass.scopes sd.Semdir.uid
   end;
@@ -965,11 +981,11 @@ let apply_delta pass (ctx : Ctx.t) (sd : Semdir.t) ~path ~delta_all adds =
    empty and nothing is evaluated.  Delta evaluations are already
    restricted to the candidates, so the partition hint would buy nothing on
    top. *)
-let prestage_delta ~touched ~delta_all pass (ctx : Ctx.t) uid =
+let prestage_delta ~delta ~delta_all pass (ctx : Ctx.t) uid =
   match (Ctx.semdir_of_uid ctx uid, Uidmap.path_of_uid ctx.uids uid) with
   | None, _ | _, None -> None
   | Some sd, Some path ->
-      let candidates = Fileset.inter touched (parent_scope pass ctx uid).local in
+      let candidates = Fileset.inter delta.touched (parent_scope pass ctx uid).local in
       let stale = Fileset.inter delta_all sd.Semdir.transient_local in
       if Fileset.is_empty candidates && Fileset.is_empty stale then None
       else
@@ -980,20 +996,19 @@ let prestage_delta ~touched ~delta_all pass (ctx : Ctx.t) uid =
             Eval { sd; path; within = candidates; restrict_to = Some candidates; under = None }
           end
         in
-        Some (job, apply_delta pass ctx sd ~path ~delta_all)
+        Some (job, apply_delta pass ctx sd ~path ~delta ~delta_all)
 
 let sync_delta ?pool (ctx : Ctx.t) delta =
   let i = ctx.instr in
   if ctx.needs_full_sync then begin
     Hac_obs.Metrics.incr i.Instr.sync_fallback;
     ctx.needs_full_sync <- false;
-    sync_all ?pool ctx
+    full_pass ?pool ~seed:delta.reindexed ctx
   end
   else if not (Fileset.is_empty delta.touched && Fileset.is_empty delta.removed) then
     pass_span ctx ~name:"sync.delta" ~counter:i.Instr.sync_delta (fun () ->
         Hac_obs.Trace.set_attr_int i.Instr.tracer "delta"
           (Fileset.cardinal delta.touched + Fileset.cardinal delta.removed);
-        run_pass ?pool ctx
-          (prestage_delta ~touched:delta.touched
-             ~delta_all:(Fileset.union delta.touched delta.removed))
+        run_pass ?pool ~seed:delta.reindexed ctx
+          (prestage_delta ~delta ~delta_all:(Fileset.union delta.touched delta.removed))
           (Depgraph.levels ctx.deps))

@@ -76,6 +76,14 @@ type delta = {
       (** Documents added or whose content was reindexed. *)
   removed : Hac_bitset.Fileset.t;
       (** Documents dropped from the index (deleted or unreadable). *)
+  removed_paths : (Hac_index.Index.doc_id, string) Hashtbl.t;
+      (** The path each removed document had — recorded before the index
+          forgot it, so delta apply can find the document's links. *)
+  reindexed : (string * string * (string, unit) Hashtbl.t) list;
+      (** [(path, content, key set)] of every reindexed document
+          ({!Hac_index.Index.update_document_keys}): the pass that consumes
+          the delta seeds its document cache with them, so their
+          verifications neither re-read nor re-tokenize them. *)
 }
 (** What one {!reindex_with_delta} changed — the input to {!sync_delta}. *)
 
@@ -96,9 +104,12 @@ val sync_delta : ?pool:Hac_par.Pool.t -> Ctx.t -> delta -> unit
     directory with none has nothing evaluated), patching the transient-link set — the
     settle after [k] changed files costs O(k × affected dirs) instead of
     O(all docs × all dirs).  Remote results are left as they are (remote
-    membership does not depend on local contents).  When
-    {!Ctx.t.needs_full_sync} is set (a structural event happened), clears it
-    and falls back to {!sync_all}; both paths reach the same fixpoint. *)
+    membership does not depend on local contents).  Transient-link patching
+    visits only the documents whose membership changed, through
+    {!Semdir.links_to_key}.  When {!Ctx.t.needs_full_sync} is set (a
+    structural event happened), clears it and falls back to {!sync_all};
+    both paths reach the same fixpoint.  Either pass seeds its document
+    cache with [delta.reindexed] (when pass caches are on). *)
 
 val parent_uid : Ctx.t -> int -> int option
 (** UID of the parent directory ([None] for the root or unknown uids). *)

@@ -127,15 +127,14 @@ let log_word t w =
   t.vlog.(t.vlog_len) <- w;
   t.vlog_len <- t.vlog_len + 1
 
-let post_word t block w =
-  let w = key t w in
-  match Hashtbl.find_opt t.postings w with
+let post_key t block k =
+  match Hashtbl.find_opt t.postings k with
   | Some p -> Bitset.add p.blocks block
   | None ->
       let bm = Bitset.create ~capacity:(block + 1) () in
       Bitset.add bm block;
-      Hashtbl.replace t.postings w { blocks = bm; seq = t.vlog_len };
-      log_word t w
+      Hashtbl.replace t.postings k { blocks = bm; seq = t.vlog_len };
+      log_word t k
 
 let post_attr t block key value =
   let k = (String.lowercase_ascii key, String.lowercase_ascii value) in
@@ -176,28 +175,38 @@ let dir_withdraw t path id =
       | None -> ())
     (ancestors path)
 
+(* Each token is keyed (stemmed) once, and each distinct key is posted
+   once — a repeated word would only re-set the same block bit and
+   re-push the same id — in first-occurrence order, so the vocabulary log
+   and the postings come out exactly as posting every token would leave
+   them.  The document's key set falls out for free. *)
 let index_content t id path content =
   let block = block_of t id in
   Cas.note_doc t.cas id ~path;
+  let keys = Hashtbl.create 64 in
   Tokenizer.iter_words content (fun w ->
-      post_word t block w;
-      Cas.post_word t.cas id (key t w));
-  match t.transducer with
+      let k = key t w in
+      if not (Hashtbl.mem keys k) then begin
+        Hashtbl.replace keys k ();
+        post_key t block k;
+        Cas.post_word t.cas id k
+      end);
+  (match t.transducer with
   | None -> ()
   | Some td ->
       List.iter
         (fun (k, v) ->
           post_attr t block k v;
           Cas.post_attr t.cas id (String.lowercase_ascii k) (String.lowercase_ascii v))
-        (td.Transducer.extract ~path ~content)
+        (td.Transducer.extract ~path ~content));
+  keys
 
-let update_document t ~path ~content =
+let update_document_keys t ~path ~content =
   match Hashtbl.find_opt t.by_path path with
   | Some id ->
       (* Lazy update: stale words keep their block bits until [rebuild]. *)
       t.lazy_ops <- t.lazy_ops + 1;
-      index_content t id path content;
-      id
+      (id, index_content t id path content)
   | None ->
       let id = t.next_id in
       t.next_id <- t.next_id + 1;
@@ -205,8 +214,9 @@ let update_document t ~path ~content =
       t.docs.(id) <- { path; alive = true };
       Hashtbl.replace t.by_path path id;
       dir_enroll t path id;
-      index_content t id path content;
-      id
+      (id, index_content t id path content)
+
+let update_document t ~path ~content = fst (update_document_keys t ~path ~content)
 
 let add_document = update_document
 
@@ -538,7 +548,7 @@ let rebuild t reader =
   for id = 0 to t.next_id - 1 do
     if t.docs.(id).alive then
       match reader id with
-      | Some content -> index_content t id t.docs.(id).path content
+      | Some content -> ignore (index_content t id t.docs.(id).path content)
       | None ->
           (* The document vanished from under us; treat as removed. *)
           Hashtbl.remove t.by_path t.docs.(id).path;

@@ -43,6 +43,13 @@ val update_document : t -> path:string -> content:string -> doc_id
 (** Reindex the contents of an existing path (same identifier); adds the
     document when missing. *)
 
+val update_document_keys :
+  t -> path:string -> content:string -> doc_id * (string, unit) Hashtbl.t
+(** {!update_document}, also returning the document's key set: every
+    distinct token of the content, keyed as the index keys it (lowercased,
+    stemmed when stemming is on).  The table is fresh and owned by the
+    caller. *)
+
 val remove_path : t -> string -> unit
 (** Forget the document at the path; its identifier is never reused.  No-op
     when absent. *)

@@ -55,12 +55,14 @@ type doc_cache = {
   mutable dc_hits : int;
   mutable dc_misses : int;
   mutable dc_uncached : int;
+  dc_tokenized : int Atomic.t;  (* key sets built from content *)
 }
 
 type cache_stats = {
   cache_hits : int;
   cache_misses : int;
   cache_uncached : int;
+  cache_tokenized : int;
   cache_docs : int;
   cache_bytes : int;
 }
@@ -76,6 +78,7 @@ let doc_cache ?(max_bytes = default_cache_bytes) () =
     dc_hits = 0;
     dc_misses = 0;
     dc_uncached = 0;
+    dc_tokenized = Atomic.make 0;
   }
 
 let doc_cache_stats c =
@@ -85,12 +88,26 @@ let doc_cache_stats c =
       cache_hits = c.dc_hits;
       cache_misses = c.dc_misses;
       cache_uncached = c.dc_uncached;
+      cache_tokenized = Atomic.get c.dc_tokenized;
       cache_docs = Hashtbl.length c.dc_tbl;
       cache_bytes = c.dc_bytes;
     }
   in
   Mutex.unlock c.dc_lock;
   s
+
+let new_entry ?keys content =
+  { de_content = content; de_lock = Mutex.create (); de_keys = keys; de_tokens = None }
+
+(* Publish an entry if the byte budget allows; the caller holds the lock. *)
+let admit c path entry =
+  let sz = match entry with Some e -> String.length e.de_content | None -> 0 in
+  let fits = c.dc_bytes + sz <= c.dc_max_bytes in
+  if fits then begin
+    Hashtbl.replace c.dc_tbl path entry;
+    c.dc_bytes <- c.dc_bytes + sz
+  end;
+  fits
 
 let cached_entry c (reader : reader) path =
   Mutex.lock c.dc_lock;
@@ -105,12 +122,7 @@ let cached_entry c (reader : reader) path =
       (* Read outside the lock: the file cannot change during a pass, so a
          concurrent same-path read is benign, and a slow reader must not
          serialize every other domain. *)
-      let entry =
-        Option.map
-          (fun content ->
-            { de_content = content; de_lock = Mutex.create (); de_keys = None; de_tokens = None })
-          (reader path)
-      in
+      let entry = Option.map new_entry (reader path) in
       Mutex.lock c.dc_lock;
       (match Hashtbl.find_opt c.dc_tbl path with
       | Some e ->
@@ -119,14 +131,17 @@ let cached_entry c (reader : reader) path =
           Mutex.unlock c.dc_lock;
           e
       | None ->
-          let sz = match entry with Some e -> String.length e.de_content | None -> 0 in
-          if c.dc_bytes + sz <= c.dc_max_bytes then begin
-            Hashtbl.replace c.dc_tbl path entry;
-            c.dc_bytes <- c.dc_bytes + sz
-          end
-          else c.dc_uncached <- c.dc_uncached + 1;
+          if not (admit c path entry) then c.dc_uncached <- c.dc_uncached + 1;
           Mutex.unlock c.dc_lock;
           entry)
+
+(* A seeded entry arrives with its key set, so verifying it never reads,
+   tokenizes or stems the document again. *)
+let seed_doc_cache c ~path ~content ~keys =
+  Mutex.lock c.dc_lock;
+  if not (Hashtbl.mem c.dc_tbl path) then
+    ignore (admit c path (Some (new_entry ~keys content)));
+  Mutex.unlock c.dc_lock
 
 let cached_content c reader path =
   Option.map (fun e -> e.de_content) (cached_entry c reader path)
@@ -134,7 +149,7 @@ let cached_content c reader path =
 (* Token structures are built at most once per entry, under the entry lock;
    once published they are immutable, so the returned table/list can be read
    without the lock. *)
-let entry_keys idx e =
+let entry_keys c idx e =
   Mutex.lock e.de_lock;
   let keys =
     match e.de_keys with
@@ -142,6 +157,7 @@ let entry_keys idx e =
     | None ->
         let k = Hashtbl.create 64 in
         Tokenizer.iter_words e.de_content (fun x -> Hashtbl.replace k (key idx x) ());
+        Atomic.incr c.dc_tokenized;
         e.de_keys <- Some k;
         k
   in
@@ -171,11 +187,6 @@ let contains_word idx ~content ~word =
     Tokenizer.exists_word content (fun x -> Stemmer.stem x = wk)
   end
   else Tokenizer.contains_word content w
-
-(* Membership in the index-keyed token set is exactly [contains_word]:
-   unstemmed keys are the raw (truncated) tokens [Tokenizer.contains_word]
-   matches; stemmed keys compare stems as the scan does. *)
-let entry_has_word idx e w = Hashtbl.mem (entry_keys idx e) (key idx (String.lowercase_ascii w))
 
 (* Slide over the token stream keeping how much of the phrase each in-flight
    match has consumed; token lists are short-lived (or pass-cached). *)
@@ -249,7 +260,13 @@ let search_word ?probe ?within ?under ?cache idx reader w =
   in
   match cache with
   | None -> verify ?probe idx reader (fun content -> contains_word idx ~content ~word:w) candidates
-  | Some c -> verify_entry ?probe c idx reader (fun e -> entry_has_word idx e w) candidates
+  | Some c ->
+      (* Membership in the index-keyed token set is exactly [contains_word]:
+         unstemmed keys are the raw (truncated) tokens
+         [Tokenizer.contains_word] matches; stemmed keys compare stems as
+         the scan does.  The query word is keyed once per call. *)
+      let wk = key idx w in
+      verify_entry ?probe c idx reader (fun e -> Hashtbl.mem (entry_keys c idx e) wk) candidates
 
 let search_phrase ?probe ?within ?under ?cache idx reader words =
   match words with
@@ -327,7 +344,7 @@ let search_approx ?probe ?within ?cache idx reader ~word ~errors =
       (* [to_seq_keys] only reads the shared table; [Hashtbl.iter] would
          write its traversal flag from several domains at once. *)
       verify_entry ?probe c idx reader
-        (fun e -> Seq.exists hit (Hashtbl.to_seq_keys (entry_keys idx e)))
+        (fun e -> Seq.exists hit (Hashtbl.to_seq_keys (entry_keys c idx e)))
         candidates
 
 let search_substring ?probe idx reader pattern =

@@ -49,6 +49,9 @@ type cache_stats = {
   cache_hits : int;
   cache_misses : int;
   cache_uncached : int;  (** Lookups past the byte budget, served uncached. *)
+  cache_tokenized : int;
+      (** Key sets built by tokenizing an entry's content (seeded entries
+          bring theirs). *)
   cache_docs : int;
   cache_bytes : int;
 }
@@ -57,6 +60,15 @@ val doc_cache : ?max_bytes:int -> unit -> doc_cache
 (** An empty cache (default budget 32 MiB of document bytes). *)
 
 val doc_cache_stats : doc_cache -> cache_stats
+
+val seed_doc_cache :
+  doc_cache -> path:string -> content:string -> keys:(string, unit) Hashtbl.t -> unit
+(** Pre-load an entry whose content and index-keyed token set are already
+    known — a document the reindex just read and tokenized
+    ({!Index.update_document_keys}) — so its verifications in the pass
+    neither read nor re-tokenize it.  Within the byte budget only; a path
+    already cached is left alone.  Neither a hit nor a miss.  The caller
+    hands [keys] over: it must not be mutated afterwards. *)
 
 val cached_content : doc_cache -> reader -> string -> string option
 (** Read through the cache: the document's contents, or [None] when

@@ -307,19 +307,43 @@ let test_sibling_dirs_share_pass () =
       (link_names t (Printf.sprintf "/m%d" j))
   done
 
+(* With pass caches on, a delta settle's cache starts out seeded with the
+   reindexed documents; off, nothing is cached.  Both must land on the same
+   links through full and delta settles alike — and the seeded delta
+   settles, whose candidates were all just reindexed, tokenize nothing
+   again. *)
 let test_ablation_knob_equivalent () =
   let t1 = fresh () and t2 = fresh () in
   Hac.set_pass_caches t2 false;
   Alcotest.(check bool) "knob reads back" false (Hac.pass_caches_enabled t2);
-  List.iter
-    (fun t ->
+  let both f = List.iter f [ t1; t2 ] in
+  both (fun t ->
       Hac.write_file t "/d0/a.txt" "red green";
       Hac.write_file t "/d1/c.txt" "green blue";
       Hac.smkdir t "/s0" "green OR red";
       Hac.smkdir t "/s1" "green AND blue";
-      Hac.settle t)
-    [ t1; t2 ];
-  Alcotest.(check string) "cached and uncached engines agree" (observe t1) (observe t2)
+      Hac.settle t);
+  Alcotest.(check string) "cached and uncached engines agree" (observe t1) (observe t2);
+  let tokenized = Hac_obs.Metrics.count (Hac.instr t1).Hac_core.Instr.docs_tokenized in
+  List.iteri
+    (fun i writes ->
+      both (fun t ->
+          List.iter
+            (fun (f, text) ->
+              if text = "" then Hac.unlink t f else Hac.write_file t f text)
+            writes;
+          Hac.settle t);
+      Alcotest.(check string)
+        (Printf.sprintf "agree after delta settle %d" i)
+        (observe t1) (observe t2))
+    [
+      [ ("/d0/a.txt", "blue only"); ("/d1/d.txt", "red green blue") ];
+      [ ("/d1/c.txt", "red"); ("/d2/e.txt", "green blue") ];
+      [ ("/d1/d.txt", ""); ("/d0/b.txt", "green") ];
+    ];
+  Alcotest.(check int)
+    "seeded delta settles tokenize nothing" tokenized
+    (Hac_obs.Metrics.count (Hac.instr t1).Hac_core.Instr.docs_tokenized)
 
 let () =
   Alcotest.run "parallel"

@@ -88,8 +88,12 @@ let apply t op =
       ignore_errors (fun () -> Hac.unprohibit t ~dir:sem_dirs.(d) ~target:files.(f))
 
 (* The externally observable semantic state: for every semantic directory,
-   its links (name, canonical target, class) and its prohibited targets. *)
+   its links (name, canonical target, class), its prohibited targets, and
+   the symbolic links physically present in it (name and [readlink] value,
+   read from the VFS) — so a stale or missing symlink left by link patching
+   diverges even when HAC's own link table looks right. *)
 let observe t =
+  let fs = Hac.fs t in
   Hac.semantic_dirs t
   |> List.map (fun dir ->
          let links =
@@ -101,8 +105,15 @@ let observe t =
            |> List.sort compare
          in
          let proh = List.sort compare (Hac.prohibited t dir) in
-         Printf.sprintf "%s: [%s] proh[%s]" dir (String.concat "," links)
-           (String.concat "," proh))
+         let physical =
+           Fs.readdir fs dir
+           |> List.filter_map (fun name ->
+                  let p = Hac_vfs.Vpath.join dir name in
+                  if Fs.is_symlink fs p then Some (name ^ ">" ^ Fs.readlink fs p) else None)
+           |> List.sort compare
+         in
+         Printf.sprintf "%s: [%s] proh[%s] fs[%s]" dir (String.concat "," links)
+           (String.concat "," proh) (String.concat "," physical))
   |> String.concat "\n"
 
 let fresh () =
