@@ -730,6 +730,31 @@ let incremental_settle () =
   touch ();
   ignore (Hac.reindex t ());
   let links_scanned = count links_c - links0 and docs_tokenized = count tokenized_c - tokenized0 in
+  (* The two O(corpus) events a settle used to hit.  Churn: rewrite every
+     file once, past the one-third compaction threshold — exact CAS
+     postings leave nothing for an index rebuild to reclaim.  Renames: move
+     a few files, one into another subtree, settling after each — every
+     one must settle as a delta, not fall back to a full pass. *)
+  let rebuilds_c i = i.Hac_core.Instr.index_rebuilds
+  and fallback_c i = i.Hac_core.Instr.sync_fallback in
+  let rebuilds0 = count rebuilds_c in
+  toggled := not !toggled;
+  for i = 0 to n_files - 1 do
+    Fs.write_file fs (path i) (content ~toggled:!toggled i)
+  done;
+  ignore (Hac.reindex t ());
+  let rebuilds = count rebuilds_c - rebuilds0 in
+  let fallbacks0 = count fallback_c in
+  Fs.mkdir_p fs "/moved";
+  List.iter
+    (fun (i, dir) ->
+      Fs.rename fs ~src:(path i) ~dst:(Printf.sprintf "%s/r%04d.txt" dir i);
+      ignore (Hac.reindex t ()))
+    [ (1, "/data"); (2, "/data"); (3, "/moved") ];
+  let rename_fallbacks = count fallback_c - fallbacks0 in
+  let renamed_delta = snapshot () in
+  ignore (Hac.reindex_full t ());
+  let renamed_match = renamed_delta = snapshot () in
   let speedup = full_s /. delta_s in
   Printf.printf "  corpus: %d files, %d semantic dirs, %d files touched per settle\n\n"
     n_files n_dirs k;
@@ -748,6 +773,11 @@ let incremental_settle () =
     (speedup >= if smoke || quick then 1.0 else 5.0);
   shape "no-change sync_all served from the cache" (hits > 0 && misses = 0);
   shape "delta settle re-tokenizes no reindexed document" (docs_tokenized = 0);
+  Printf.printf "  churn past the threshold: %d index rebuilds; 3 file renames: %d fallbacks\n"
+    rebuilds rename_fallbacks;
+  shape "churn past the compaction threshold rebuilds nothing" (rebuilds = 0);
+  shape "file renames settle without a full-pass fallback" (rename_fallbacks = 0);
+  shape "renames settled as deltas reach the sync_all fixpoint" renamed_match;
   let b = Buffer.create 512 in
   Printf.bprintf b "{\n";
   Printf.bprintf b
@@ -762,6 +792,8 @@ let incremental_settle () =
   Printf.bprintf b "  \"fixpoint_match\": %b,\n" (after_delta = after_full);
   Printf.bprintf b "  \"links_scanned\": %d,\n" links_scanned;
   Printf.bprintf b "  \"docs_tokenized\": %d,\n" docs_tokenized;
+  Printf.bprintf b "  \"rebuilds\": %d,\n" rebuilds;
+  Printf.bprintf b "  \"rename_fallbacks\": %d,\n" rename_fallbacks;
   Printf.bprintf b
     "  \"cache\": { \"hits\": %d, \"misses\": %d, \"entries\": %d, \"hit_rate\": %.3f }\n"
     hits misses rc.Hac_core.Rescache.entries hit_rate;

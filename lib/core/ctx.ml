@@ -10,6 +10,8 @@ type t = {
   file_meta : (string, Hac_vfs.Fs.stat) Hashtbl.t;
   skeletons : (int, Semdir.t) Hashtbl.t;
   dirty : (string, unit) Hashtbl.t;
+  moved : (int, string list) Hashtbl.t;
+  mutable churn : int;
   mutable alive : bool;
   mutable maintenance : bool;
   mutable auto_sync : bool;
@@ -45,6 +47,8 @@ let create ?(block_size = 8) ?(stem = true) ?transducer ?(auto_sync = false) ?re
       file_meta = Hashtbl.create 256;
       skeletons = Hashtbl.create 64;
       dirty = Hashtbl.create 64;
+      moved = Hashtbl.create 8;
+      churn = 0;
       alive = true;
       maintenance = false;
       auto_sync;

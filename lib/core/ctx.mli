@@ -26,6 +26,15 @@ type t = {
           skeleton is promoted into {!semdirs} by [smkdir]/[schquery]. *)
   dirty : (string, unit) Hashtbl.t;
       (** Paths whose index entry is stale (data consistency, section 2.4). *)
+  moved : (int, string list) Hashtbl.t;
+      (** Documents renamed since the last reindex, by id, with every path
+          they left (oldest first): transient links may still name any of
+          them.  The next {!Sync.reindex_with_delta} consumes the table
+          into its delta. *)
+  mutable churn : int;
+      (** In-place reindexes and removals since the last readability sweep
+          or index rebuild — the trigger of the sweep that drops documents
+          made unreadable without an event ({!Sync.reindex_with_delta}). *)
   mutable alive : bool;
       (** False once the instance is shut down; its event subscription (which
           cannot be physically removed from the bus) goes inert. *)
@@ -53,10 +62,12 @@ type t = {
           updates, renames, link/prohibition edits, mounts, resyncs) — the
           cache-freshness clock. *)
   mutable needs_full_sync : bool;
-      (** Set by structural events (renames, link edits, mount changes,
-          directory removal) whose effect on query results is not captured
-          by the reindex delta; the next settle falls back to a full
-          {!Sync.sync_all} and clears it. *)
+      (** Set by structural events (directory renames, file renames that
+          clobber an indexed file, link edits, mount changes, directory
+          removal) whose effect on query results is not captured by the
+          reindex delta; the next settle falls back to a full
+          {!Sync.sync_all} and clears it.  Other file renames settle as
+          deltas (see [moved]). *)
   mutable pass_caches : bool;
       (** Whether settle passes build their shared per-pass evaluation
           caches ({!Hac_index.Search.term_memo} and

@@ -60,9 +60,10 @@ let mark_dirty (ctx : Ctx.t) path =
   end
 
 (* Settle everything now: data consistency, then scope consistency.  The
-   reindex delta drives an incremental re-evaluation; structural events
-   (renames, link edits — anything that set [needs_full_sync]) make
-   [sync_delta] fall back to a full pass.  [?domains] is the width of the
+   reindex delta drives an incremental re-evaluation (file renames
+   included); structural events (directory renames, clobbering renames,
+   link edits — anything that set [needs_full_sync]) make [sync_delta]
+   fall back to a full pass.  [?domains] is the width of the
    domain pool the pass runs on (see {!Sync.sync_all}); the result does not
    depend on it. *)
 let settle ?durability ?domains (ctx : Ctx.t) =
@@ -215,12 +216,11 @@ let on_event (ctx : Ctx.t) ev =
         | Some sd -> record_link_removal ctx sd p
         | None -> ())
     | Event.Renamed (src, dst) -> (
-        (* Renames change path-derived membership (subtree scopes, built-in
-           attributes) without marking anything dirty: no reindex delta will
-           ever describe them. *)
-        Ctx.force_full_sync ctx;
         match Fs.lstat ctx.fs dst with
         | { Fs.st_kind = Event.Dir; _ } ->
+            (* A directory rename moves a whole subtree of documents and
+               semantic directories, which no reindex delta describes. *)
+            Ctx.force_full_sync ctx;
             Uidmap.rename ctx.uids ~old_path:src ~new_path:dst;
             index_rename_subtree ctx ~src ~dst;
             rename_dirty ctx ~src ~dst;
@@ -239,22 +239,36 @@ let on_event (ctx : Ctx.t) ev =
                     ())
             | None -> ())
         | { Fs.st_kind = Event.File; _ } ->
+            (* A file rename settles as a delta: the document keeps its id,
+               its old path is recorded for the links that still name it,
+               and the destination is dirtied so the reindex carries it.
+               Clobbering an indexed file also drops that file's document,
+               whose membership no delta describes: full pass. *)
+            (match (Index.doc_of_path ctx.index src, Index.doc_of_path ctx.index dst) with
+            | _, Some _ -> Ctx.force_full_sync ctx
+            | Some id, None ->
+                let left = Option.value ~default:[] (Hashtbl.find_opt ctx.moved id) in
+                if not (List.mem src left) then Hashtbl.replace ctx.moved id (left @ [ src ]);
+                Ctx.bump_generation ctx
+            | None, None -> ());
             Index.rename_path ctx.index ~old_path:src ~new_path:dst;
             rename_dirty ctx ~src ~dst;
             (* Directory records never mention files, so across a remount
                the rename would be invisible to the journal; F records for
                both ends make a fast mount forget the vanished source and
-               re-read the destination. *)
+               re-read the destination (and mark it dirty here). *)
             journal_append ctx ("F " ^ src);
-            journal_append ctx ("F " ^ dst)
+            journal_append ctx ("F " ^ dst);
+            Hashtbl.replace ctx.dirty dst ()
         | { Fs.st_kind = Event.Link; _ } ->
+            Ctx.force_full_sync ctx;
             (match semdir_of_parent ctx src with
             | Some sd -> record_link_removal ctx sd src
             | None -> ());
             (match semdir_of_parent ctx dst with
             | Some sd -> record_permanent_link ctx sd dst
             | None -> ())
-        | exception Hac_vfs.Errno.Error _ -> ()));
+        | exception Hac_vfs.Errno.Error _ -> Ctx.force_full_sync ctx));
     tick ctx
   end
 
@@ -626,6 +640,9 @@ let schquery (ctx : Ctx.t) path query_string =
   | Some sd ->
       let old_query = sd.Semdir.query in
       sd.Semdir.query <- query;
+      (* The new query must reach disk even when the result is unchanged
+         (persisting is otherwise skipped for an unchanged directory). *)
+      sd.Semdir.meta_dirty <- true;
       (match Sync.recompute_deps ctx sd with
       | Ok () -> ()
       | Error cycle ->

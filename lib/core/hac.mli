@@ -178,8 +178,10 @@ val reindex : ?domains:int -> t -> ?under:string -> unit -> int
 (** Settle data consistency now (optionally only below [under]) and then
     restore scope consistency {e incrementally}: queries are re-evaluated
     only over the documents the reindex touched or removed
-    ({!Sync.sync_delta}).  Structural events since the last settle force a
-    full re-evaluation instead.  Returns the number of files whose index
+    ({!Sync.sync_delta}); file renames ride the same delta.  Other
+    structural events since the last settle (directory renames, renames
+    clobbering an indexed file, link edits, mounts) force a full
+    re-evaluation instead.  Returns the number of files whose index
     entries were refreshed.  [?domains] as in {!settle}. *)
 
 val reindex_full : ?domains:int -> t -> ?under:string -> unit -> int

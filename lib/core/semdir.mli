@@ -45,10 +45,11 @@ type t = {
   prohibited : (string, unit) Hashtbl.t;  (** Prohibited target keys. *)
   mutable last_synced : int;  (** Logical stamp of the last re-evaluation. *)
   mutable meta_dirty : bool;
-      (** True when links or prohibitions changed since the last persist —
-          lets {!Sync} skip the metadata write for untouched directories
-          without ever losing recovery state.  Set by every mutator here;
-          cleared by {!Sync} after persisting. *)
+      (** True when links, prohibitions or the query changed since the last
+          persist — lets {!Sync} skip the metadata write for untouched
+          directories without ever losing recovery state.  Set by every
+          mutator here and by a query change; cleared by {!Sync} after
+          persisting. *)
 }
 
 val create : uid:int -> Hac_query.Ast.t -> t

@@ -283,14 +283,21 @@ let persist_semdir (ctx : Ctx.t) (sd : Semdir.t) =
   in
   let links_data =
     let b = Buffer.create 128 in
+    let field s sep =
+      Buffer.add_string b s;
+      Buffer.add_char b sep
+    in
     List.iter
       (fun l ->
-        Buffer.add_string b
-          (Printf.sprintf "%s %s %s\n" (Link.cls_name l.Link.cls) l.Link.name
-             (Link.symlink_value l.Link.target)))
+        field (Link.cls_name l.Link.cls) ' ';
+        field l.Link.name ' ';
+        field (Link.symlink_value l.Link.target) '\n')
       (Semdir.all_links sd);
     List.iter
-      (fun r -> Buffer.add_string b ("remote " ^ r.Semdir.rr_ns ^ " " ^ r.Semdir.rr_uri ^ "\n"))
+      (fun r ->
+        field "remote" ' ';
+        field r.Semdir.rr_ns ' ';
+        field r.Semdir.rr_uri '\n')
       sd.Semdir.transient_remote;
     Buffer.contents b
   in
@@ -305,7 +312,8 @@ let persist_semdir (ctx : Ctx.t) (sd : Semdir.t) =
           Bytes.set bitmap (id / 8) (Char.chr (byte lor (1 lsl (id mod 8))))
         end)
       sd.Semdir.transient_local;
-    Bytes.to_string bitmap
+    (* Never mutated again: sealing reads it once. *)
+    Bytes.unsafe_to_string bitmap
   in
   Ctx.with_maintenance ctx (fun () ->
       if not (Fs.is_dir ctx.fs meta_root) then Fs.mkdir_p ctx.fs meta_root;
@@ -805,8 +813,14 @@ type delta = {
   touched : Fileset.t;
   removed : Fileset.t;
   removed_paths : (Index.doc_id, string) Hashtbl.t;
+  moved : Fileset.t;
+  moved_from : (Index.doc_id, string list) Hashtbl.t;
   reindexed : (string * string * (string, unit) Hashtbl.t) list;
 }
+
+(* Past this share of churned documents, [reindex_with_delta] compacts or
+   sweeps (see below). *)
+let stale_threshold = 0.33
 
 let reindex_with_delta (ctx : Ctx.t) ?under () =
   let i = ctx.instr in
@@ -821,11 +835,14 @@ let reindex_with_delta (ctx : Ctx.t) ?under () =
      access is interposed (global-map lookup) and goes through an open
      file descriptor — the paper's Table 3 time overhead. *)
   let fds = Hac_vfs.Fd_table.create ctx.fs in
-  let read_interposed path =
+  let open_interposed path =
     (match Uidmap.uid_of_path ctx.uids (Vpath.dirname path) with
     | Some uid -> ignore (Ctx.semdir_of_uid ctx uid : Semdir.t option)
     | None -> ());
-    let fd = Hac_vfs.Fd_table.openfile fds Hac_vfs.Fd_table.Read_only path in
+    Hac_vfs.Fd_table.openfile fds Hac_vfs.Fd_table.Read_only path
+  in
+  let read_interposed path =
+    let fd = open_interposed path in
     let content = Hac_vfs.Fd_table.read_all fds fd in
     Hac_vfs.Fd_table.close fds fd;
     content
@@ -837,6 +854,7 @@ let reindex_with_delta (ctx : Ctx.t) ?under () =
   let forget path =
     (match Index.doc_of_path ctx.index path with
     | Some id ->
+        ctx.churn <- ctx.churn + 1;
         removed := Fileset.add !removed id;
         (* Once removed the id no longer maps back to its path, which
            delta apply needs to find the document's links. *)
@@ -851,6 +869,7 @@ let reindex_with_delta (ctx : Ctx.t) ?under () =
       if Fs.is_file ctx.fs path then
         match read_interposed path with
         | content ->
+            if Index.doc_of_path ctx.index path <> None then ctx.churn <- ctx.churn + 1;
             let id, keys = Index.update_document_keys ctx.index ~path ~content in
             touched := Fileset.add !touched id;
             reindexed := (path, content, keys) :: !reindexed;
@@ -869,27 +888,61 @@ let reindex_with_delta (ctx : Ctx.t) ?under () =
             forget path
       else forget path)
     paths;
-  (* Lazy updates leave stale block bits behind (Glimpse-style); once a
-     third of the document slots are dead weight, compact. *)
-  if Index.stale_ratio ctx.index > 0.33 && Index.doc_count ctx.index > 0 then begin
-    Hac_obs.Metrics.incr i.Instr.index_rebuilds;
-    let live_before = Index.doc_count ctx.index in
-    Index.rebuild ctx.index (fun id ->
-        Option.bind (Index.doc_path ctx.index id) (fun p ->
-            match read_interposed p with
-            | content -> Some content
-            | exception Hac_vfs.Errno.Error _ -> None));
-    (* Rebuild drops documents whose content became unreadable without any
-       event (e.g. a permission change); such removals are invisible to the
-       delta, so only a full re-evaluation is safe. *)
-    if Index.doc_count ctx.index <> live_before then Ctx.force_full_sync ctx
+  (* Churn past the threshold triggers two things.  A readability sweep:
+     a document made unreadable without any event (a permission change)
+     is found by opening each live document — nothing is re-read or
+     re-tokenized — and dropped like any removal, so the delta carries it.
+     And, when the active query path has gone stale, a rebuild: the
+     Glimpse block bitmaps accumulate stale bits under lazy updates, and
+     documents a fast mount adopted leave stale cold postings once they
+     change.  Exact CAS postings never trigger one ({!Index.stale_ratio}). *)
+  let live = Index.doc_count ctx.index in
+  let over n = live > 0 && float_of_int n /. float_of_int (live + n) > stale_threshold in
+  let stale = Index.stale_ratio ctx.index > stale_threshold && live > 0 in
+  if stale || over ctx.churn then begin
+    let unreadable = ref [] in
+    Index.iter_live ctx.index (fun _ p ->
+        match open_interposed p with
+        | fd -> Hac_vfs.Fd_table.close fds fd
+        | exception Hac_vfs.Errno.Error _ -> unreadable := p :: !unreadable);
+    List.iter forget !unreadable;
+    ctx.churn <- 0;
+    if stale then begin
+      Hac_obs.Metrics.incr i.Instr.index_rebuilds;
+      let live_before = Index.doc_count ctx.index in
+      Index.rebuild ctx.index (fun id ->
+          Option.bind (Index.doc_path ctx.index id) (fun p ->
+              match read_interposed p with
+              | content -> Some content
+              | exception Hac_vfs.Errno.Error _ -> None));
+      (* A document vanishing between the sweep and the rebuild is
+         invisible to the delta, so only a full re-evaluation is safe. *)
+      if Index.doc_count ctx.index <> live_before then Ctx.force_full_sync ctx
+    end
   end;
+  (* Renamed documents join the delta: their path-derived membership
+     (subtree scopes, built-in attributes) moved, and their links name a
+     path they left.  A document removed since is already in [removed]. *)
+  let moved_from = Hashtbl.copy ctx.moved in
+  Hashtbl.reset ctx.moved;
+  let moved =
+    Hashtbl.fold
+      (fun id _ acc -> if Index.doc_path ctx.index id <> None then Fileset.add acc id else acc)
+      moved_from Fileset.empty
+  in
   ctx.ops_since_reindex <- 0;
   if paths <> [] then Ctx.bump_generation ctx;
   Hac_obs.Metrics.incr ~by:(List.length paths) i.Instr.reindex_files;
   Hac_obs.Trace.set_attr_int i.Instr.tracer "files" (List.length paths);
   ( List.length paths,
-    { touched = !touched; removed = !removed; removed_paths; reindexed = !reindexed } ))
+    {
+      touched = Fileset.union !touched moved;
+      removed = !removed;
+      removed_paths;
+      moved;
+      moved_from;
+      reindexed = !reindexed;
+    } ))
 
 let reindex (ctx : Ctx.t) ?under () = fst (reindex_with_delta ctx ?under ())
 
@@ -909,66 +962,89 @@ let reindex (ctx : Ctx.t) ?under () = fst (reindex_with_delta ctx ?under ())
    evaluated with {!Search.eval}'s [?restrict_to] so candidate expansion and
    verification never leave the delta — O(k × affected-dirs).
 
-   Structural events (renames, link edits, mounts, prohibition changes,
-   query edits) change membership outside any reindex delta; they set
-   {!Ctx.t.needs_full_sync} and the next [sync_delta] falls back to a full
-   [sync_all].  That fallback is also the property-test oracle: both paths
-   must reach the same transient-link fixpoint. *)
+   A file rename is a delta too: the renamed document joins [touched]
+   (its path-derived membership moved with it) and [moved_from] names
+   the paths its links may still carry.  Other structural events
+   (directory renames, renames that clobber an indexed file, link edits,
+   mounts, prohibition changes, query edits) change membership outside any
+   reindex delta; they set {!Ctx.t.needs_full_sync} and the next
+   [sync_delta] falls back to a full [sync_all].  That fallback is also
+   the property-test oracle: both paths must reach the same
+   transient-link fixpoint. *)
 
 (* Write back one directory's delta re-evaluation, given the
    exclusion-filtered additions among its candidates.  Link patching visits
-   only the documents whose membership moved: members that left the result
-   lose their transient links, found through the target index by path
-   (from the delta for removed documents, which no longer map back to
-   one), and additions gain a link where none exists. *)
+   only the documents whose membership moved, plus members that were
+   renamed: members that left the result lose their transient links, found
+   through the target index by every path the document had since the last
+   settle (from the delta for removed and renamed documents, which no
+   longer map back to it), renamed members that stayed lose the links to
+   the paths they left, and additions gain a link at their current path
+   where none exists. *)
 let apply_delta pass (ctx : Ctx.t) (sd : Semdir.t) ~path ~delta ~delta_all adds =
   Hac_obs.Metrics.incr ctx.instr.Instr.sync_dirs;
   let old_local = sd.Semdir.transient_local in
   let new_local = Fileset.union adds (Fileset.diff old_local delta_all) in
   let changed = not (Fileset.equal new_local old_local) in
+  let renamed = Fileset.inter (Fileset.inter old_local delta.moved) new_local in
+  let relink = sd.Semdir.materialized && not (Fileset.is_empty renamed) in
   if changed then begin
     Hac_obs.Metrics.incr ctx.instr.Instr.sync_changed;
-    sd.Semdir.transient_local <- new_local;
-    if sd.Semdir.materialized then begin
-      let scanned = ref 0 in
-      let path_of id =
-        match Hashtbl.find_opt delta.removed_paths id with
-        | Some _ as p -> p
-        | None -> Index.doc_path ctx.index id
-      in
-      Ctx.with_maintenance ctx (fun () ->
-          Fileset.iter
-            (fun id ->
-              match path_of id with
-              | None -> ()
-              | Some p ->
-                  List.iter
-                    (fun l ->
-                      incr scanned;
-                      match (l.Link.cls, l.Link.target) with
-                      | Link.Transient, Link.Local _ ->
-                          ignore (Semdir.remove_link sd l.Link.name);
-                          let lpath = Vpath.join path l.Link.name in
-                          if Fs.is_symlink ctx.fs lpath then Fs.unlink ctx.fs lpath
-                      | _ -> ())
-                    (Semdir.links_to_key sd p))
-            (Fileset.diff (Fileset.inter old_local delta_all) new_local);
-          Fileset.iter
-            (fun id ->
-              match Index.doc_path ctx.index id with
-              | Some p ->
-                  incr scanned;
-                  if Semdir.link_by_target sd (Link.Local p) = None then
-                    create_transient_link ctx sd ~path ~target:(Link.Local p) ~name_hint:None
-              | None -> ())
-            adds);
-      Hac_obs.Metrics.incr ~by:!scanned ctx.instr.Instr.sync_links_scanned
-    end;
+    sd.Semdir.transient_local <- new_local
+  end;
+  if sd.Semdir.materialized && (changed || relink) then begin
+    let scanned = ref 0 in
+    let unlink_key p =
+      List.iter
+        (fun l ->
+          incr scanned;
+          match (l.Link.cls, l.Link.target) with
+          | Link.Transient, Link.Local _ ->
+              ignore (Semdir.remove_link sd l.Link.name);
+              let lpath = Vpath.join path l.Link.name in
+              if Fs.is_symlink ctx.fs lpath then Fs.unlink ctx.fs lpath
+          | _ -> ())
+        (Semdir.links_to_key sd p)
+    in
+    let left_paths id =
+      Option.value ~default:[] (Hashtbl.find_opt delta.moved_from id)
+    in
+    let current_path id =
+      match Hashtbl.find_opt delta.removed_paths id with
+      | Some _ as p -> p
+      | None -> Index.doc_path ctx.index id
+    in
+    Ctx.with_maintenance ctx (fun () ->
+        Fileset.iter
+          (fun id ->
+            List.iter unlink_key (left_paths id);
+            Option.iter unlink_key (current_path id))
+          (Fileset.diff (Fileset.inter old_local delta_all) new_local);
+        Fileset.iter
+          (fun id ->
+            let here = Index.doc_path ctx.index id in
+            List.iter (fun p -> if Some p <> here then unlink_key p) (left_paths id))
+          renamed;
+        Fileset.iter
+          (fun id ->
+            match Index.doc_path ctx.index id with
+            | Some p ->
+                incr scanned;
+                if Semdir.link_by_target sd (Link.Local p) = None then
+                  create_transient_link ctx sd ~path ~target:(Link.Local p) ~name_hint:None
+            | None -> ())
+          adds);
+    Hac_obs.Metrics.incr ~by:!scanned ctx.instr.Instr.sync_links_scanned
+  end;
+  if changed then begin
     Ctx.bump_generation ctx;
     Hashtbl.remove pass.scopes sd.Semdir.uid
   end;
   ctx.sync_stamp <- ctx.sync_stamp + 1;
   sd.Semdir.last_synced <- ctx.sync_stamp;
+  (* Relinking marks the directory's metadata dirty ([Semdir.add_link] and
+     [remove_link] do), so a retargeted link set is persisted even when the
+     membership did not change. *)
   if changed || sd.Semdir.meta_dirty then begin
     persist_semdir ctx sd;
     sd.Semdir.meta_dirty <- false

@@ -73,12 +73,19 @@ val sync_all : ?pool:Hac_par.Pool.t -> Ctx.t -> unit
 
 type delta = {
   touched : Hac_bitset.Fileset.t;
-      (** Documents added or whose content was reindexed. *)
+      (** Documents added, reindexed or renamed. *)
   removed : Hac_bitset.Fileset.t;
       (** Documents dropped from the index (deleted or unreadable). *)
   removed_paths : (Hac_index.Index.doc_id, string) Hashtbl.t;
       (** The path each removed document had — recorded before the index
           forgot it, so delta apply can find the document's links. *)
+  moved : Hac_bitset.Fileset.t;
+      (** Live documents renamed since the previous reindex (a subset of
+          [touched]). *)
+  moved_from : (Hac_index.Index.doc_id, string list) Hashtbl.t;
+      (** Every path each renamed document left since the previous reindex
+          (removed ones included), taken from {!Ctx.t.moved}: transient
+          links may still name any of them. *)
   reindexed : (string * string * (string, unit) Hashtbl.t) list;
       (** [(path, content, key set)] of every reindexed document
           ({!Hac_index.Index.update_document_keys}): the pass that consumes
@@ -91,10 +98,20 @@ val reindex : Ctx.t -> ?under:string -> unit -> int
 (** Settle data consistency for the dirty paths (optionally only those below
     [under]): update or drop their index entries.  Returns the number of
     paths processed.  Does {e not} re-evaluate queries — callers typically
-    follow with {!sync_delta} (via {!reindex_with_delta}) or {!sync_all}. *)
+    follow with {!sync_delta} (via {!reindex_with_delta}) or {!sync_all}.
+
+    Once in-place updates and removals since the last sweep pass a third of
+    the live documents ({!Ctx.t.churn}), every live document is opened
+    (not read) under the current user's credentials, and those that no
+    longer open — made unreadable without an event, say by a [chmod] — are
+    dropped like any removal.  The index is rebuilt only when
+    {!Hac_index.Index.stale_ratio} passes the same threshold: never with
+    exact CAS postings, except for documents a fast mount adopted; with CAS
+    off, as Glimpse's lazy block index needs. *)
 
 val reindex_with_delta : Ctx.t -> ?under:string -> unit -> int * delta
-(** {!reindex}, also returning which documents it touched or removed. *)
+(** {!reindex}, also returning which documents it touched, removed or saw
+    renamed.  Consumes {!Ctx.t.moved}. *)
 
 val sync_delta : ?pool:Hac_par.Pool.t -> Ctx.t -> delta -> unit
 (** Incremental scope maintenance: restore the scope invariant after a
@@ -105,9 +122,12 @@ val sync_delta : ?pool:Hac_par.Pool.t -> Ctx.t -> delta -> unit
     settle after [k] changed files costs O(k × affected dirs) instead of
     O(all docs × all dirs).  Remote results are left as they are (remote
     membership does not depend on local contents).  Transient-link patching
-    visits only the documents whose membership changed, through
-    {!Semdir.links_to_key}.  When {!Ctx.t.needs_full_sync} is set (a
-    structural event happened), clears it and falls back to {!sync_all};
+    visits only the documents whose membership changed and renamed members,
+    through {!Semdir.links_to_key}: a renamed member that still matches has
+    its links at the paths it left replaced by one at its new path, and
+    the directory is persisted even though its membership set did not
+    change.  When {!Ctx.t.needs_full_sync} is set (a structural event
+    happened), clears it and falls back to {!sync_all};
     both paths reach the same fixpoint.  Either pass seeds its document
     cache with [delta.reindexed] (when pass caches are on). *)
 

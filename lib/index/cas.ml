@@ -8,12 +8,12 @@
    relevant slice of the posting list instead of expanding everything and
    filtering against a subtree set afterwards.
 
-   Laziness contract (same as the Glimpse block index): partitions are
-   supersets of the truth.  Removing a document does not erase its postings
-   (the [alive] set is intersected in), and renaming a document does not move
-   its old postings between partitions — the document joins the [relabeled]
-   set, which is unioned into every scoped answer so it stays a sound
-   superset.  Verification cleans candidates; {!reset} (on rebuild) reclaims.
+   Postings are exact: the owner ({!Index}) keeps each document's key set
+   and posts only the keys a document gains, unposts the keys it loses
+   (all of them on removal), and moves a document's postings to its new
+   partition when a rename changes its label.  So a partition holds
+   exactly the live documents of that label carrying the term, and no
+   periodic compaction is needed.
 
    Concurrency: all mutation happens on the main domain between settle
    passes.  During passes, worker domains only read — the lone mutable reads
@@ -21,31 +21,44 @@
 
 module Fileset = Hac_bitset.Fileset
 
-(* Growable posting vector: doc ids appended in arrival order.  During a
-   rebuild ids arrive strictly increasing; incremental updates may append
-   out of order or duplicate (a re-posted document), which only costs a
-   sort_uniq at the next snapshot. *)
-type vec = {
-  mutable v : int array;
-  mutable len : int;
-  mutable sorted : bool;
-  mutable snap : Fileset.t option;
-}
+(* Growable posting vector: the distinct doc ids of one partition, kept
+   sorted.  Ids mostly arrive increasing (a rebuild, new documents), which
+   appends; an update to an older document inserts in place.  Neither
+   insertion nor removal allocates unless the vector grows, and a snapshot
+   never sorts. *)
+type vec = { mutable v : int array; mutable len : int; mutable snap : Fileset.t option }
 
-let vec_create () = { v = Array.make 8 0; len = 0; sorted = true; snap = None }
+let vec_create () = { v = Array.make 8 0; len = 0; snap = None }
+
+(* Index of the first element >= id. *)
+let vec_search p id =
+  let lo = ref 0 and hi = ref p.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if p.v.(mid) < id then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let vec_push p id =
-  (* Consecutive tokens of one document post the same id back to back. *)
-  if p.len > 0 && p.v.(p.len - 1) = id then ()
-  else begin
+  let i = if p.len = 0 || p.v.(p.len - 1) < id then p.len else vec_search p id in
+  if i = p.len || p.v.(i) <> id then begin
     if p.len = Array.length p.v then begin
       let v = Array.make (2 * p.len) 0 in
       Array.blit p.v 0 v 0 p.len;
       p.v <- v
     end;
-    if p.len > 0 && p.v.(p.len - 1) > id then p.sorted <- false;
-    p.v.(p.len) <- id;
+    Array.blit p.v i p.v (i + 1) (p.len - i);
+    p.v.(i) <- id;
     p.len <- p.len + 1;
+    p.snap <- None
+  end
+
+(* Remove one id (a no-op when absent). *)
+let vec_remove p id =
+  let i = vec_search p id in
+  if i < p.len && p.v.(i) = id then begin
+    Array.blit p.v (i + 1) p.v i (p.len - i - 1);
+    p.len <- p.len - 1;
     p.snap <- None
   end
 
@@ -54,35 +67,15 @@ let vec_snapshot p =
   | Some s -> s
   | None ->
       let s =
-        if p.sorted then
-          Fileset.of_increasing_iter (fun f ->
-              let last = ref (-1) in
-              for i = 0 to p.len - 1 do
-                if p.v.(i) <> !last then begin
-                  f p.v.(i);
-                  last := p.v.(i)
-                end
-              done)
-        else begin
-          let a = Array.sub p.v 0 p.len in
-          Array.sort compare a;
-          Fileset.of_increasing_iter (fun f ->
-              let last = ref (-1) in
-              Array.iter
-                (fun id ->
-                  if id <> !last then begin
-                    f id;
-                    last := id
-                  end)
-                a)
-        end
+        Fileset.of_increasing_iter (fun f ->
+            for i = 0 to p.len - 1 do
+              f p.v.(i)
+            done)
       in
       p.snap <- Some s;
       s
 
-(* Estimated cardinality without forcing a snapshot: the appended length is
-   an upper bound (duplicates only arise from re-posted documents). *)
-let vec_card p = match p.snap with Some s -> Fileset.cardinal s | None -> p.len
+let vec_card p = p.len
 
 type entry = {
   parts : (int, vec) Hashtbl.t; (* label id -> postings *)
@@ -96,7 +89,6 @@ type t = {
   mutable doc_label : int array; (* doc id -> label id, -1 when unknown *)
   terms : (string, entry) Hashtbl.t;
   alive : Fileset.Builder.t;
-  relabeled : Fileset.Builder.t;
   lock : Mutex.t;
 }
 
@@ -108,7 +100,6 @@ let create () =
     doc_label = Array.make 64 (-1);
     terms = Hashtbl.create 4096;
     alive = Fileset.Builder.create ();
-    relabeled = Fileset.Builder.create ();
     lock = Mutex.create ();
   }
 
@@ -117,8 +108,7 @@ let reset t =
   t.label_count <- 0;
   Array.fill t.doc_label 0 (Array.length t.doc_label) (-1);
   Hashtbl.reset t.terms;
-  Fileset.Builder.clear t.alive;
-  Fileset.Builder.clear t.relabeled
+  Fileset.Builder.clear t.alive
 
 (* -- labels ---------------------------------------------------------------- *)
 
@@ -171,16 +161,12 @@ let ensure_doc t id =
     t.doc_label <- a
   end
 
-(* Record (or refresh) a document's label.  A label change — a rename across
-   the partition dimension — parks the document in [relabeled]: its old
-   postings stay where they are, and every scoped answer unions [relabeled]
-   to keep the superset sound. *)
+(* Record (or refresh) a document's label.  Postings go to the partition of
+   the label current when they are posted, so a caller changing a posted
+   document's label unposts its keys first and re-posts them after. *)
 let note_doc t id ~path =
   ensure_doc t id;
-  let lid = label_id t (label_of_path path) in
-  let old = t.doc_label.(id) in
-  if old >= 0 && old <> lid then Fileset.Builder.add t.relabeled id;
-  t.doc_label.(id) <- lid;
+  t.doc_label.(id) <- label_id t (label_of_path path);
   Fileset.Builder.add t.alive id
 
 let note_remove t id =
@@ -188,13 +174,15 @@ let note_remove t id =
 
 let alive t = Fileset.Builder.snapshot t.alive
 
-let relabeled_count t = Fileset.Builder.cardinal t.relabeled
-
 (* -- posting --------------------------------------------------------------- *)
 
 let word_key w = "w:" ^ w
 
 let attr_key k v = "a:" ^ k ^ "\x00" ^ v
+
+let doc_lid t id =
+  let lid = if id < Array.length t.doc_label then t.doc_label.(id) else -1 in
+  if lid < 0 then label_id t "/" else lid
 
 let post t key id =
   let e =
@@ -205,8 +193,7 @@ let post t key id =
         Hashtbl.replace t.terms key e;
         e
   in
-  let lid = if id < Array.length t.doc_label then t.doc_label.(id) else -1 in
-  let lid = if lid < 0 then label_id t "/" else lid in
+  let lid = doc_lid t id in
   let p =
     match Hashtbl.find_opt e.parts lid with
     | Some p -> p
@@ -221,6 +208,24 @@ let post t key id =
 let post_word t id w = post t (word_key w) id
 
 let post_attr t id k v = post t (attr_key k v) id
+
+(* An emptied partition stays in place, ready for the term's next
+   posting: updates keep trading a document's rare words, and re-creating
+   their entries each time would only churn the heap.  The vocabulary
+   bounds the tables either way. *)
+let unpost t key id =
+  match Hashtbl.find_opt t.terms key with
+  | None -> ()
+  | Some e -> (
+      match Hashtbl.find_opt e.parts (doc_lid t id) with
+      | None -> ()
+      | Some p ->
+          vec_remove p id;
+          e.all <- None)
+
+let unpost_word t id w = unpost t (word_key w) id
+
+let unpost_attr t id k v = unpost t (attr_key k v) id
 
 (* -- scoped lookup ----------------------------------------------------------
 
@@ -275,28 +280,19 @@ let candidates ?under t key =
   match Hashtbl.find_opt t.terms key with
   | None -> Fileset.empty
   | Some e ->
-      let raw =
-        locked t (fun () ->
-            match under with
-            | None -> union_all e
-            | Some under -> (
-                match covered_labels t under with
-                | None -> union_all e
-                | Some lids ->
-                    let part_union =
-                      List.fold_left
-                        (fun acc lid ->
-                          match Hashtbl.find_opt e.parts lid with
-                          | Some p -> Fileset.union (vec_snapshot p) acc
-                          | None -> acc)
-                        Fileset.empty lids
-                    in
-                    (* Renamed documents may sit in a partition the scope no
-                       longer covers; the relabeled set restores the superset. *)
-                    if Fileset.Builder.cardinal t.relabeled = 0 then part_union
-                    else Fileset.union part_union (Fileset.Builder.snapshot t.relabeled)))
-      in
-      Fileset.inter raw (Fileset.Builder.snapshot t.alive)
+      locked t (fun () ->
+          match under with
+          | None -> union_all e
+          | Some under -> (
+              match covered_labels t under with
+              | None -> union_all e
+              | Some lids ->
+                  List.fold_left
+                    (fun acc lid ->
+                      match Hashtbl.find_opt e.parts lid with
+                      | Some p -> Fileset.union (vec_snapshot p) acc
+                      | None -> acc)
+                    Fileset.empty lids))
 
 let word_candidates ?under t w = candidates ?under t (word_key w)
 
@@ -305,8 +301,7 @@ let attr_candidates ?under t k v = candidates ?under t (attr_key k v)
 (* -- measured costs ----------------------------------------------------------
 
    Candidate-cardinality estimate from partition sizes alone: the sum of the
-   covered partitions' cardinalities (plus the relabeled drift), no set
-   materialization.  Unlike the block estimate this reflects the documents
+   covered partitions' cardinalities, no set materialization.  Unlike the block estimate this reflects the documents
    the term actually touches, per scope. *)
 
 let cost ?under t key =
@@ -326,22 +321,20 @@ let cost ?under t key =
                       match Hashtbl.find_opt e.parts lid with
                       | Some p -> acc + vec_card p
                       | None -> acc)
-                    (Fileset.Builder.cardinal t.relabeled)
-                    lids))
+                    0 lids))
 
 let word_cost ?under t w = cost ?under t (word_key w)
 
 let attr_cost ?under t k v = cost ?under t (attr_key k v)
 
-(* Every term's live posting set (all partitions unioned, dead documents
-   masked) — what a segment dump persists.  Forces snapshots, like stats. *)
+(* Every term's posting set (all partitions unioned) — what a segment dump
+   persists.  Forces snapshots, like stats. *)
 let iter_terms t f =
   locked t (fun () ->
-      let live = Fileset.Builder.snapshot t.alive in
       Hashtbl.iter
         (fun key e ->
-          let s = Fileset.inter (union_all e) live in
-          if Fileset.cardinal s > 0 then f key s)
+          let s = union_all e in
+          if not (Fileset.is_empty s) then f key s)
         t.terms)
 
 (* -- accounting -------------------------------------------------------------- *)
@@ -350,47 +343,51 @@ type stats = {
   labels : int;
   terms : int;
   partitions : int;
-  postings : int; (* appended postings, duplicates included *)
+  postings : int;
   bytes : int; (* compressed snapshot payload *)
   raw_bytes : int; (* posting-vector backing store *)
   uncompressed_bytes : int; (* one whole-universe bitmap per term *)
   arrays : int;
   bitmaps : int;
   run_containers : int;
-  relabeled : int;
 }
 
 (* Forces every partition snapshot — an explicit stats-time cost, not paid on
    the indexing or query path. *)
 let stats ?(universe = 0) t =
   locked t (fun () ->
-      let partitions = ref 0 and postings = ref 0 and raw = ref 0 in
+      let terms = ref 0 and partitions = ref 0 and postings = ref 0 and raw = ref 0 in
       let arrays = ref 0 and bitmaps = ref 0 and runs = ref 0 and bytes = ref 0 in
+      (* Emptied partitions (and terms left with none) hold backing store
+         but no postings. *)
       Hashtbl.iter
         (fun _ e ->
+          let live = !partitions in
           Hashtbl.iter
             (fun _ p ->
-              incr partitions;
-              postings := !postings + p.len;
               raw := !raw + (Array.length p.v * 8);
-              let st = Fileset.container_stats (vec_snapshot p) in
-              arrays := !arrays + st.arrays;
-              bitmaps := !bitmaps + st.bitmaps;
-              runs := !runs + st.run_containers;
-              bytes := !bytes + st.bytes)
-            e.parts)
+              if p.len > 0 then begin
+                incr partitions;
+                let st = Fileset.container_stats (vec_snapshot p) in
+                postings := !postings + p.len;
+                arrays := !arrays + st.arrays;
+                bitmaps := !bitmaps + st.bitmaps;
+                runs := !runs + st.run_containers;
+                bytes := !bytes + st.bytes
+              end)
+            e.parts;
+          if !partitions > live then incr terms)
         t.terms;
       let per_term_bitmap = (universe + 7) / 8 in
       {
         labels = t.label_count;
-        terms = Hashtbl.length t.terms;
+        terms = !terms;
         partitions = !partitions;
         postings = !postings;
         bytes = !bytes;
         raw_bytes = !raw;
-        uncompressed_bytes = Hashtbl.length t.terms * per_term_bitmap;
+        uncompressed_bytes = !terms * per_term_bitmap;
         arrays = !arrays;
         bitmaps = !bitmaps;
         run_containers = !runs;
-        relabeled = Fileset.Builder.cardinal t.relabeled;
       })

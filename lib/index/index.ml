@@ -4,7 +4,91 @@ module SSet = Set.Make (String)
 
 type doc_id = int
 
-type doc = { mutable path : string; mutable alive : bool }
+(* Key sets: a document's distinct log ids, sorted and stored as LEB128
+   varints of the gaps between consecutive ids — about a byte per key
+   instead of a word, since every live document keeps one. *)
+module Keys = struct
+  let encode buf (ids : int array) =
+    Buffer.clear buf;
+    let prev = ref 0 in
+    Array.iter
+      (fun id ->
+        let d = ref (id - !prev) in
+        prev := id;
+        while !d >= 0x80 do
+          Buffer.add_char buf (Char.unsafe_chr (!d land 0x7f lor 0x80));
+          d := !d lsr 7
+        done;
+        Buffer.add_char buf (Char.unsafe_chr !d))
+      ids;
+    Buffer.contents buf
+
+  (* A decoding position: [id] is the current key, [max_int] past the end. *)
+  type cursor = { s : string; mutable pos : int; mutable id : int }
+
+  let advance c =
+    if c.pos >= String.length c.s then c.id <- max_int
+    else begin
+      let d = ref 0 and shift = ref 0 and more = ref true in
+      while !more do
+        let b = Char.code (String.unsafe_get c.s c.pos) in
+        c.pos <- c.pos + 1;
+        d := !d lor ((b land 0x7f) lsl !shift);
+        shift := !shift + 7;
+        more := b >= 0x80
+      done;
+      c.id <- c.id + !d
+    end
+
+  let cursor s =
+    let c = { s; pos = 0; id = 0 } in
+    advance c;
+    c
+
+  let iter f s =
+    let c = cursor s in
+    while c.id <> max_int do
+      f c.id;
+      advance c
+    done
+
+  (* [lost] on keys only in [old_keys], [gained] on keys only in
+     [new_keys]; kept keys are left alone. *)
+  let diff old_keys new_keys ~lost ~gained =
+    let o = cursor old_keys and n = cursor new_keys in
+    while o.id <> max_int || n.id <> max_int do
+      if o.id < n.id then begin
+        lost o.id;
+        advance o
+      end
+      else if n.id < o.id then begin
+        gained n.id;
+        advance n
+      end
+      else begin
+        advance o;
+        advance n
+      end
+    done
+end
+
+(* Each indexed document keeps its posted key sets — its words (ids into
+   [vlog]) and its attribute pairs (ids into [alog]) — so an update can
+   post exactly the keys it gained and unpost exactly the keys it lost.
+   [adopted] marks a document a fast mount adopted and that has not
+   changed since: its postings live only in cold segments (its key sets
+   are empty), and they go stale the first time it changes. *)
+type doc = {
+  mutable path : string;
+  mutable alive : bool;
+  mutable wkeys : string;
+  mutable akeys : string;
+  mutable adopted : bool;
+}
+
+let dead_doc () = { path = ""; alive = false; wkeys = ""; akeys = ""; adopted = false }
+
+let live_doc path = { path; alive = true; wkeys = ""; akeys = ""; adopted = false }
 
 (* A cold-postings provider: term lookups over on-disk postings segments a
    fast mount did not load into memory.  Keys are the {!Cas} flat term
@@ -19,6 +103,9 @@ type cold = {
 
 (* A resident word's block bitmap and its position in the vocabulary log. *)
 type posting = { blocks : Bitset.t; seq : int }
+
+(* An attribute pair's block bitmap and its position in the attribute log. *)
+type attr_posting = { ablocks : Bitset.t; aseq : int }
 
 (* Vocabulary expansions: the keys an approximate term (pattern, errors) or a
    required regex literal selects.  An expansion is immutable once published;
@@ -47,8 +134,13 @@ type t = {
   xlock : Mutex.t; (* guards [xcache]; each entry extends under its own lock *)
   xcache : (xkey, xentry) Hashtbl.t;
   approx_tested : int Atomic.t; (* vocabulary keys agrepped by expansion *)
-  attr_postings : (string * string, Bitset.t) Hashtbl.t; (* (attr, value) -> block bitmap *)
+  attr_postings : (string * string, attr_posting) Hashtbl.t; (* (attr, value) -> block bitmap *)
+  mutable alog : (string * string) array; (* attribute pairs in first-posting order *)
+  mutable alog_len : int;
+  mutable scratch : int array; (* key ids of the document being indexed *)
+  kbuf : Buffer.t; (* key-set encoding buffer *)
   mutable lazy_ops : int; (* removals + in-place updates since the last rebuild *)
+  mutable cold_stale : int; (* adopted documents updated or removed since *)
   by_dir : (string, Fileset.Builder.t) Hashtbl.t; (* ancestor dir -> live docs beneath it *)
   cas : Cas.t; (* content-and-structure postings, doc-granular *)
   mutable use_cas : bool; (* query-path knob: CAS vs block expansion *)
@@ -61,7 +153,7 @@ let create ?(block_size = 8) ?(stem = true) ?transducer () =
     block_size;
     stem;
     transducer;
-    docs = Array.make 64 { path = ""; alive = false };
+    docs = Array.make 64 (dead_doc ());
     next_id = 0;
     by_path = Hashtbl.create 256;
     postings = Hashtbl.create 4096;
@@ -71,7 +163,12 @@ let create ?(block_size = 8) ?(stem = true) ?transducer () =
     xcache = Hashtbl.create 16;
     approx_tested = Atomic.make 0;
     attr_postings = Hashtbl.create 64;
+    alog = [||];
+    alog_len = 0;
+    scratch = Array.make 256 0;
+    kbuf = Buffer.create 256;
     lazy_ops = 0;
+    cold_stale = 0;
     by_dir = Hashtbl.create 256;
     cas = Cas.create ();
     use_cas = true;
@@ -112,7 +209,7 @@ let block_of t id = id / t.block_size
 let ensure_docs t id =
   let n = Array.length t.docs in
   if id >= n then begin
-    let docs = Array.make (max (id + 1) (2 * n)) { path = ""; alive = false } in
+    let docs = Array.make (max (id + 1) (2 * n)) (dead_doc ()) in
     Array.blit t.docs 0 docs 0 n;
     t.docs <- docs
   end
@@ -127,23 +224,82 @@ let log_word t w =
   t.vlog.(t.vlog_len) <- w;
   t.vlog_len <- t.vlog_len + 1
 
+(* Block postings are lazy (Glimpse): a key is posted to the document's
+   block whenever it is indexed and never cleared before {!rebuild}.  Both
+   return the key's log id. *)
 let post_key t block k =
   match Hashtbl.find_opt t.postings k with
-  | Some p -> Bitset.add p.blocks block
+  | Some p ->
+      Bitset.add p.blocks block;
+      p.seq
   | None ->
       let bm = Bitset.create ~capacity:(block + 1) () in
       Bitset.add bm block;
-      Hashtbl.replace t.postings k { blocks = bm; seq = t.vlog_len };
-      log_word t k
+      let seq = t.vlog_len in
+      Hashtbl.replace t.postings k { blocks = bm; seq };
+      log_word t k;
+      seq
 
-let post_attr t block key value =
-  let k = (String.lowercase_ascii key, String.lowercase_ascii value) in
+let post_attr t block k =
   match Hashtbl.find_opt t.attr_postings k with
-  | Some bm -> Bitset.add bm block
+  | Some p ->
+      Bitset.add p.ablocks block;
+      p.aseq
   | None ->
       let bm = Bitset.create ~capacity:(block + 1) () in
       Bitset.add bm block;
-      Hashtbl.replace t.attr_postings k bm
+      let aseq = t.alog_len in
+      Hashtbl.replace t.attr_postings k { ablocks = bm; aseq };
+      if aseq = Array.length t.alog then begin
+        let a = Array.make (max 16 (2 * aseq)) ("", "") in
+        Array.blit t.alog 0 a 0 aseq;
+        t.alog <- a
+      end;
+      t.alog.(aseq) <- k;
+      t.alog_len <- aseq + 1;
+      aseq
+
+let push_scratch t n id =
+  if n = Array.length t.scratch then begin
+    let a = Array.make (2 * n) 0 in
+    Array.blit t.scratch 0 a 0 n;
+    t.scratch <- a
+  end;
+  t.scratch.(n) <- id
+
+(* The first [n] scratch ids as an encoded key set. *)
+let scratch_keys t n =
+  if n = 0 then ""
+  else begin
+    let a = Array.sub t.scratch 0 n in
+    Array.sort Int.compare a;
+    let m = ref 1 in
+    for i = 1 to n - 1 do
+      if a.(i) <> a.(!m - 1) then begin
+        a.(!m) <- a.(i);
+        incr m
+      end
+    done;
+    Keys.encode t.kbuf (if !m = n then a else Array.sub a 0 !m)
+  end
+
+let unpost_word t id wid = Cas.unpost_word t.cas id t.vlog.(wid)
+
+let post_word t id wid = Cas.post_word t.cas id t.vlog.(wid)
+
+let unpost_attr t id aid =
+  let k, v = t.alog.(aid) in
+  Cas.unpost_attr t.cas id k v
+
+let post_attr_cas t id aid =
+  let k, v = t.alog.(aid) in
+  Cas.post_attr t.cas id k v
+
+(* Every CAS posting of the document, gone — before a removal, or before a
+   rename moves it to another partition. *)
+let unpost_all t id d =
+  Keys.iter (unpost_word t id) d.wkeys;
+  Keys.iter (unpost_attr t id) d.akeys
 
 (* Every ancestor directory of "/a/b/c.txt": "/", "/a", "/a/b".  Paths are
    normalized absolute by the callers' convention. *)
@@ -175,46 +331,67 @@ let dir_withdraw t path id =
       | None -> ())
     (ancestors path)
 
-(* Each token is keyed (stemmed) once, and each distinct key is posted
-   once — a repeated word would only re-set the same block bit and
-   re-push the same id — in first-occurrence order, so the vocabulary log
-   and the postings come out exactly as posting every token would leave
-   them.  The document's key set falls out for free. *)
-let index_content t id path content =
+(* Each token is keyed (stemmed) once, and each distinct key is posted to
+   the document's block once, in first-occurrence order, so the vocabulary
+   log comes out exactly as posting every token would leave it.  The CAS
+   postings then move by the difference between the document's old and new
+   key sets: gained keys are posted, lost keys unposted, kept keys left
+   alone — so they stay exact without a rebuild.  The document's key table
+   falls out for free. *)
+let index_content t id content =
+  let d = t.docs.(id) in
   let block = block_of t id in
-  Cas.note_doc t.cas id ~path;
+  Cas.note_doc t.cas id ~path:d.path;
   let keys = Hashtbl.create 64 in
+  let n = ref 0 in
   Tokenizer.iter_words content (fun w ->
       let k = key t w in
       if not (Hashtbl.mem keys k) then begin
         Hashtbl.replace keys k ();
-        post_key t block k;
-        Cas.post_word t.cas id k
+        push_scratch t !n (post_key t block k);
+        incr n
       end);
+  let words = scratch_keys t !n in
+  Keys.diff d.wkeys words ~lost:(unpost_word t id) ~gained:(post_word t id);
+  d.wkeys <- words;
   (match t.transducer with
   | None -> ()
   | Some td ->
+      let n = ref 0 in
       List.iter
         (fun (k, v) ->
-          post_attr t block k v;
-          Cas.post_attr t.cas id (String.lowercase_ascii k) (String.lowercase_ascii v))
-        (td.Transducer.extract ~path ~content));
+          push_scratch t !n
+            (post_attr t block (String.lowercase_ascii k, String.lowercase_ascii v));
+          incr n)
+        (td.Transducer.extract ~path:d.path ~content);
+      let attrs = scratch_keys t !n in
+      Keys.diff d.akeys attrs ~lost:(unpost_attr t id) ~gained:(post_attr_cas t id);
+      d.akeys <- attrs);
   keys
+
+(* An adopted document's cold postings go stale the first time it changes;
+   counting it once is what {!stale_ratio} weighs in CAS mode. *)
+let note_cold_stale t d =
+  if d.adopted then begin
+    d.adopted <- false;
+    t.cold_stale <- t.cold_stale + 1
+  end
 
 let update_document_keys t ~path ~content =
   match Hashtbl.find_opt t.by_path path with
   | Some id ->
-      (* Lazy update: stale words keep their block bits until [rebuild]. *)
+      (* Block bits of lost words stay set until [rebuild] (Glimpse). *)
       t.lazy_ops <- t.lazy_ops + 1;
-      (id, index_content t id path content)
+      note_cold_stale t t.docs.(id);
+      (id, index_content t id content)
   | None ->
       let id = t.next_id in
       t.next_id <- t.next_id + 1;
       ensure_docs t id;
-      t.docs.(id) <- { path; alive = true };
+      t.docs.(id) <- live_doc path;
       Hashtbl.replace t.by_path path id;
       dir_enroll t path id;
-      (id, index_content t id path content)
+      (id, index_content t id content)
 
 let update_document t ~path ~content = fst (update_document_keys t ~path ~content)
 
@@ -227,7 +404,7 @@ let add_document = update_document
 let adopt_document t ~id ~path =
   if id < 0 then invalid_arg "Index.adopt_document: negative id";
   ensure_docs t id;
-  t.docs.(id) <- { path; alive = true };
+  t.docs.(id) <- { (live_doc path) with adopted = true };
   Hashtbl.replace t.by_path path id;
   dir_enroll t path id;
   Cas.note_doc t.cas id ~path;
@@ -247,14 +424,24 @@ let iter_live t f =
 
 let iter_cas_terms t f = Cas.iter_terms t.cas f
 
+(* Drop a live document: every CAS posting goes with it; its block bits
+   stay until [rebuild] (Glimpse). *)
+let kill t id =
+  let d = t.docs.(id) in
+  unpost_all t id d;
+  d.wkeys <- "";
+  d.akeys <- "";
+  note_cold_stale t d;
+  d.alive <- false;
+  t.lazy_ops <- t.lazy_ops + 1;
+  dir_withdraw t d.path id;
+  Cas.note_remove t.cas id
+
 let remove_path t path =
   match Hashtbl.find_opt t.by_path path with
   | None -> ()
   | Some id ->
-      t.docs.(id).alive <- false;
-      t.lazy_ops <- t.lazy_ops + 1;
-      dir_withdraw t path id;
-      Cas.note_remove t.cas id;
+      kill t id;
       Hashtbl.remove t.by_path path
 
 let rename_path t ~old_path ~new_path =
@@ -266,15 +453,19 @@ let rename_path t ~old_path ~new_path =
       (* A pre-existing doc at the destination is overwritten, as the file
          it described just got replaced. *)
       (match Hashtbl.find_opt t.by_path new_path with
-      | Some clobbered ->
-          t.docs.(clobbered).alive <- false;
-          dir_withdraw t new_path clobbered;
-          Cas.note_remove t.cas clobbered
+      | Some clobbered -> kill t clobbered
       | None -> ());
       Hashtbl.replace t.by_path new_path id;
       dir_enroll t new_path id;
-      Cas.note_doc t.cas id ~path:new_path;
-      t.docs.(id).path <- new_path
+      let d = t.docs.(id) in
+      (* Crossing partition labels moves the postings along. *)
+      if Cas.label_of_path old_path <> Cas.label_of_path new_path then begin
+        unpost_all t id d;
+        Cas.note_doc t.cas id ~path:new_path;
+        Keys.iter (post_word t id) d.wkeys;
+        Keys.iter (post_attr_cas t id) d.akeys
+      end;
+      d.path <- new_path
 
 let doc_count t = Hashtbl.length t.by_path
 
@@ -493,7 +684,7 @@ let attr_docs ?within ?under t key value =
     else
       match Hashtbl.find_opt t.attr_postings (key, value) with
       | None -> Fileset.empty
-      | Some blocks -> expand ?within t blocks
+      | Some p -> expand ?within t p.ablocks
   in
   let c =
     if t.cold = None then base
@@ -526,7 +717,9 @@ let attr_cost ?under t key value =
   let key = String.lowercase_ascii key and value = String.lowercase_ascii value in
   let resident =
     if t.use_cas then Cas.attr_cost ?under t.cas key value
-    else blocks_cost t (Hashtbl.find_opt t.attr_postings (key, value))
+    else
+      blocks_cost t
+        (Option.map (fun p -> p.ablocks) (Hashtbl.find_opt t.attr_postings (key, value)))
   in
   resident + cold_cost t (Cas.attr_key key value)
 
@@ -535,6 +728,7 @@ let attributes t =
 
 let rebuild t reader =
   t.lazy_ops <- 0;
+  t.cold_stale <- 0;
   (* The rebuild reads every live document, so afterwards the resident
      postings cover everything the cold segments did (for live documents);
      dropping the provider here is what ultimately retires segment files. *)
@@ -544,16 +738,22 @@ let rebuild t reader =
   t.vlog_len <- 0;
   drop_expansions t;
   Hashtbl.reset t.attr_postings;
+  t.alog_len <- 0;
   Cas.reset t.cas;
   for id = 0 to t.next_id - 1 do
-    if t.docs.(id).alive then
+    let d = t.docs.(id) in
+    if d.alive then begin
+      d.wkeys <- "";
+      d.akeys <- "";
+      d.adopted <- false;
       match reader id with
-      | Some content -> ignore (index_content t id t.docs.(id).path content)
+      | Some content -> ignore (index_content t id content)
       | None ->
           (* The document vanished from under us; treat as removed. *)
-          Hashtbl.remove t.by_path t.docs.(id).path;
-          t.docs.(id).alive <- false;
-          Cas.note_remove t.cas id
+          Hashtbl.remove t.by_path d.path;
+          dir_withdraw t d.path id;
+          d.alive <- false
+    end
   done
 
 let cas_stats t = Cas.stats ~universe:t.next_id t.cas
@@ -565,8 +765,8 @@ let index_bytes t =
       (fun w p acc -> acc + String.length w + (3 * word) + Bitset.byte_size p.blocks)
       t.postings 0
     + Hashtbl.fold
-        (fun (a, v) bm acc ->
-          acc + String.length a + String.length v + (3 * word) + Bitset.byte_size bm)
+        (fun (a, v) p acc ->
+          acc + String.length a + String.length v + (3 * word) + Bitset.byte_size p.ablocks)
         t.attr_postings 0
   in
   let dir_bytes =
@@ -587,6 +787,6 @@ let index_bytes t =
   postings_bytes + log_bytes + dir_bytes + docs_bytes + (cas_stats t).Cas.bytes
 
 let stale_ratio t =
+  let stale = if t.use_cas then t.cold_stale else t.lazy_ops in
   let live = doc_count t in
-  if live + t.lazy_ops = 0 then 0.0
-  else float_of_int t.lazy_ops /. float_of_int (live + t.lazy_ops)
+  if live + stale = 0 then 0.0 else float_of_int stale /. float_of_int (live + stale)

@@ -8,10 +8,20 @@
     actual contents ({!Search}).  With [block_size = 1] the index degenerates
     to a precise document-level inverted index.
 
-    Updates are lazy, like Glimpse's: removing or rewriting a document does
-    not erase its old words from block bitmaps (that would need per-block
-    reference counts); stale bits only cost verification work and disappear
-    on {!rebuild}. *)
+    Block updates are lazy, like Glimpse's: removing or rewriting a document
+    does not erase its old words from block bitmaps (that would need
+    per-block reference counts); stale bits only cost verification work and
+    disappear on {!rebuild}.
+
+    The CAS postings ({!Cas}, the default query path) are exact instead.
+    Each indexed document keeps its key set (vocabulary-log ids of its
+    words, attribute-log ids of its attribute pairs); an update posts only
+    the keys the document gained and unposts the keys it lost, a removal
+    unposts all of them, and a rename across partition labels moves them.
+    The one inexact case is a document a fast mount adopted
+    ({!adopt_document}): its postings live in cold segments, which go stale
+    once it changes.  {!stale_ratio} weighs exactly what a {!rebuild} would
+    reclaim on the active query path. *)
 
 type t
 (** One index instance. *)
@@ -57,8 +67,9 @@ val remove_path : t -> string -> unit
 val adopt_document : t -> id:doc_id -> path:string -> unit
 (** Register a live document at a {e given} identifier with no content — the
     fast-mount path, where postings live in cold on-disk segments keyed by
-    that id.  Raises [Invalid_argument] on a negative id; advances the id
-    allocator past [id]. *)
+    that id (and are inexact once the document changes).  Raises
+    [Invalid_argument] on a negative id; advances the id allocator past
+    [id]. *)
 
 val next_doc_id : t -> doc_id
 (** The next identifier {!add_document} would assign (= the id-space size,
@@ -72,8 +83,8 @@ val iter_live : t -> (doc_id -> string -> unit) -> unit
 (** Every live document with its path, ascending by id. *)
 
 val iter_cas_terms : t -> (string -> Hac_bitset.Fileset.t -> unit) -> unit
-(** Every CAS term key with its live posting set (see {!Cas.iter_terms}) —
-    what a postings-segment dump persists. *)
+(** Every CAS term key with its posting set (see {!Cas.iter_terms}) — what
+    a postings-segment dump persists. *)
 
 val set_cold :
   t ->
@@ -97,8 +108,10 @@ val clear_cold : t -> unit
 val has_cold : t -> bool
 
 val rename_path : t -> old_path:string -> new_path:string -> unit
-(** Move a document to a new path, keeping its identifier.  No-op when
-    [old_path] is not indexed. *)
+(** Move a document to a new path, keeping its identifier; its CAS postings
+    follow it to the new path's partition.  A document indexed at
+    [new_path] is removed (clobbered).  No-op when [old_path] is not
+    indexed. *)
 
 val doc_count : t -> int
 (** Number of live documents. *)
@@ -204,7 +217,8 @@ val attr_cost : ?under:string -> t -> string -> string -> int
 val set_use_cas : t -> bool -> unit
 (** Toggle the CAS query path (default on).  Off, term lookups fall back to
     Glimpse block expansion — the ablation baseline; indexing maintains both
-    structures either way, so the knob can be flipped at any time. *)
+    structures either way (CAS exact, blocks lazy), so the knob can be
+    flipped at any time. *)
 
 val use_cas : t -> bool
 (** Current state of the CAS query-path knob. *)
@@ -223,15 +237,20 @@ val vocabulary_size : t -> int
 (** Number of distinct indexed words. *)
 
 val rebuild : t -> (doc_id -> string option) -> unit
-(** Drop all postings, the vocabulary log and cached expansions, and
-    reindex every live document from the reader — reclaims stale bits left
-    by removals and updates. *)
+(** Drop all postings, the vocabulary and attribute logs, cached expansions
+    and the cold provider, and reindex every live document from the reader
+    (a document it cannot read is dropped) — reclaims stale block bits and
+    replaces stale cold postings with resident ones. *)
 
 val index_bytes : t -> int
 (** Estimated byte size of the index structures (vocabulary + block bitmaps
     + document table): the paper's Table 3 space column. *)
 
 val stale_ratio : t -> float
-(** Fraction of lazy operations (removals and in-place updates, which leave
-    stale block bits) relative to live documents since the last {!rebuild}
-    — the rebuild-freshness signal used for automatic compaction. *)
+(** Staleness of the active query path since the last {!rebuild}, relative
+    to live documents — the signal for automatic compaction.  With CAS on
+    it counts only inexact documents: adopted documents ({!adopt_document})
+    updated or removed since, whose cold postings went stale.  With CAS off
+    it counts every lazy block operation (removal or in-place update), as
+    Glimpse's index does.  Block bitmaps keep their lazy count while CAS is
+    on, so switching CAS off reports the staleness they accumulated. *)

@@ -1,6 +1,13 @@
+(* Compared in place: [stem] tests up to a dozen suffixes per token. *)
 let ends_with ~suffix w =
   let sl = String.length suffix and wl = String.length w in
-  wl >= sl && String.sub w (wl - sl) sl = suffix
+  wl >= sl
+  &&
+  let off = wl - sl and i = ref 0 in
+  while !i < sl && String.unsafe_get w (off + !i) = String.unsafe_get suffix !i do
+    incr i
+  done;
+  !i = sl
 
 let chop w n = String.sub w 0 (String.length w - n)
 

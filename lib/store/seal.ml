@@ -8,9 +8,9 @@ let checksum body =
      more than enough to catch torn writes and bit rot in a line-oriented
      log.  Not a defence against an adversary. *)
   let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF)
-    body;
+  for i = 0 to String.length body - 1 do
+    h := (!h lxor Char.code (String.unsafe_get body i)) * 0x01000193 land 0xFFFFFFFF
+  done;
   !h
 
 let hex_len = 8
@@ -47,8 +47,14 @@ let parse line =
 let blob_magic = "HACCKPT1"
 
 let seal_blob payload =
-  Printf.sprintf "%s %d %08x\n%s" blob_magic (String.length payload)
-    (checksum payload) payload
+  let header =
+    Printf.sprintf "%s %d %08x\n" blob_magic (String.length payload) (checksum payload)
+  in
+  let hl = String.length header and pl = String.length payload in
+  let b = Bytes.create (hl + pl) in
+  Bytes.blit_string header 0 b 0 hl;
+  Bytes.blit_string payload 0 b hl pl;
+  Bytes.unsafe_to_string b
 
 let open_blob data =
   match String.index_opt data '\n' with

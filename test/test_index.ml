@@ -46,7 +46,11 @@ let test_remove () =
   Alcotest.(check (option string)) "dead doc" None (Index.doc_path idx 1);
   check_bool "universe excludes dead" false (Fileset.mem (Index.universe idx) 1);
   Index.remove_path idx "/b.txt" (* idempotent *);
-  check_bool "stale ratio" true (Index.stale_ratio idx > 0.0)
+  (* Exact CAS postings leave nothing to compact; the lazy block bitmaps
+     do, and report it once the block path is active. *)
+  check_bool "no staleness with CAS" true (Index.stale_ratio idx = 0.0);
+  Index.set_use_cas idx false;
+  check_bool "block staleness" true (Index.stale_ratio idx > 0.0)
 
 let test_rename () =
   let idx = make_index () in
@@ -513,6 +517,125 @@ let test_expansion_lifecycle () =
   step gren;
   step (X_regex 0)
 
+(* -- exact CAS postings ------------------------------------------------------------
+
+   A model run drives an index through random add, update, remove and
+   rename sequences (renames across partition labels and clobbering ones
+   included), never rebuilding.  After every step each term's CAS postings
+   must equal a brute-force scan of the current contents — unscoped and
+   under every label-aligned scope — for words and for attribute pairs
+   (a transducer tags every word, repeats included), with no posting held
+   twice.  The block path keeps only its superset contract. *)
+
+let p_paths = [| "/a/x/f0.txt"; "/a/y/f1.txt"; "/b/f2.txt"; "/f3.txt"; "/b/z/deep/f4.txt"; "/a/x/f5.txt" |]
+
+let p_words = [| "red"; "green"; "blue"; "cyan"; "gold"; "teal" |]
+
+let p_scopes = [ "/a"; "/a/x"; "/a/y"; "/b"; "/b/z" ]
+
+type pop = P_put of int * int list | P_remove of int | P_rename of int * int
+
+let pp_pop = function
+  | P_put (p, ws) -> Printf.sprintf "Put(%d,[%s])" p (String.concat "," (List.map string_of_int ws))
+  | P_remove p -> Printf.sprintf "Remove(%d)" p
+  | P_rename (a, b) -> Printf.sprintf "Rename(%d,%d)" a b
+
+let gen_pop =
+  let slot n = QCheck.Gen.int_bound (n - 1) in
+  let np = Array.length p_paths in
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map2 (fun p ws -> P_put (p, ws)) (slot np)
+              (list_size (int_range 0 6) (slot (Array.length p_words))));
+        (2, map (fun p -> P_remove p) (slot np));
+        (3, map2 (fun a b -> P_rename (a, b)) (slot np) (slot np));
+      ])
+
+let tag_words =
+  {
+    Hac_index.Transducer.td_name = "tag";
+    extract = (fun ~path:_ ~content -> List.map (fun w -> ("tag", w)) (Hac_index.Tokenizer.words content));
+  }
+
+(* [Some msg] when the index disagrees with the model [contents]. *)
+let p_check idx contents =
+  let truth w =
+    Hashtbl.fold
+      (fun path content acc ->
+        if List.mem w (Hac_index.Tokenizer.words content) then
+          Fileset.add acc (Option.get (Index.doc_of_path idx path))
+        else acc)
+      contents Fileset.empty
+  in
+  let postings = ref 0 in
+  Hashtbl.iter
+    (fun _ content ->
+      postings := !postings + (2 * List.length (List.sort_uniq compare (Hac_index.Tokenizer.words content))))
+    contents;
+  let fail = ref None in
+  let expect what want got =
+    if !fail = None && not (Fileset.equal want got) then
+      fail :=
+        Some
+          (Printf.sprintf "%s: want [%s] got [%s]" what
+             (String.concat "," (List.map string_of_int (Fileset.elements want)))
+             (String.concat "," (List.map string_of_int (Fileset.elements got))))
+  in
+  Array.iter
+    (fun w ->
+      let want = truth w in
+      expect ("word " ^ w) want (Index.candidate_docs idx w);
+      expect ("attr " ^ w) want (Index.attr_docs idx "tag" w);
+      List.iter
+        (fun under ->
+          let scoped = Fileset.inter want (Index.doc_ids_under idx under) in
+          expect (Printf.sprintf "word %s under %s" w under) scoped
+            (Index.candidate_docs ~under idx w);
+          expect (Printf.sprintf "attr %s under %s" w under) scoped
+            (Index.attr_docs ~under idx "tag" w))
+        p_scopes;
+      Index.set_use_cas idx false;
+      if !fail = None && not (Fileset.subset want (Index.candidate_docs idx w)) then
+        fail := Some ("block path lost a document for " ^ w);
+      Index.set_use_cas idx true)
+    p_words;
+  let st = Index.cas_stats idx in
+  if !fail = None && st.Hac_index.Cas.postings <> !postings then
+    fail := Some (Printf.sprintf "%d postings held, %d distinct" st.Hac_index.Cas.postings !postings);
+  if !fail = None && Index.stale_ratio idx <> 0.0 then fail := Some "stale without adoption";
+  !fail
+
+let p_failure ops =
+  let idx = Index.create ~block_size:2 ~stem:false ~transducer:tag_words () in
+  let contents = Hashtbl.create 8 in
+  let step op =
+    (match op with
+    | P_put (p, ws) ->
+        let content = String.concat " " (List.map (fun i -> p_words.(i)) ws) in
+        ignore (Index.update_document idx ~path:p_paths.(p) ~content);
+        Hashtbl.replace contents p_paths.(p) content
+    | P_remove p ->
+        Index.remove_path idx p_paths.(p);
+        Hashtbl.remove contents p_paths.(p)
+    | P_rename (a, b) -> (
+        match Hashtbl.find_opt contents p_paths.(a) with
+        | Some content when a <> b ->
+            Index.rename_path idx ~old_path:p_paths.(a) ~new_path:p_paths.(b);
+            Hashtbl.remove contents p_paths.(a);
+            Hashtbl.replace contents p_paths.(b) content
+        | Some _ | None -> ()));
+    Option.map (fun msg -> pp_pop op ^ ": " ^ msg) (p_check idx contents)
+  in
+  List.find_map step ops
+
+let prop_cas_postings_exact =
+  QCheck.Test.make ~name:"CAS postings equal a brute-force scan" ~count:200
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 4 50) gen_pop)
+       ~print:(fun ops -> String.concat "; " (List.map pp_pop ops)))
+    (fun ops -> match p_failure ops with None -> true | Some msg -> QCheck.Test.fail_report msg)
+
 let () =
   Alcotest.run "index"
     [
@@ -548,7 +671,12 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_block_size_invariant; prop_doc_ids_under_matches_scan; prop_expansion_model ] );
+          [
+            prop_block_size_invariant;
+            prop_doc_ids_under_matches_scan;
+            prop_expansion_model;
+            prop_cas_postings_exact;
+          ] );
       ( "expansion seeds",
         List.map
           (fun seed ->

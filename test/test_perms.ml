@@ -197,6 +197,44 @@ let test_hac_indexing_as_owner_sees_all () =
     [ "/docs/open.txt"; "/docs/secret.txt" ]
     (transient_targets t "/apples")
 
+(* A chmod raises no event, so no dirty path ever reports the document
+   made unreadable.  It must still drop out once churn passes the
+   one-third trigger: with exact CAS postings that is an open-only sweep
+   that settles as a delta (no rebuild, no full-pass fallback); with the
+   block path it is Glimpse's rebuild, which still runs. *)
+let churn_drops_unreadable ~cas =
+  let t = hac_world () in
+  Hac.set_cas t cas;
+  let files = List.init 4 (Printf.sprintf "/docs/other%d.txt") in
+  List.iter (fun p -> Hac.write_file t p "plain notes\n") files;
+  ignore (Hac.reindex t ());
+  Hac.smkdir t "/apples" "apple";
+  Alcotest.(check (list string))
+    "both linked" [ "/docs/open.txt"; "/docs/secret.txt" ] (transient_targets t "/apples");
+  let count c = Hac_obs.Metrics.count (c (Hac.instr t)) in
+  let rebuilds i = i.Hac_core.Instr.index_rebuilds
+  and fallbacks i = i.Hac_core.Instr.sync_fallback in
+  let r0 = count rebuilds and f0 = count fallbacks in
+  Fs.chmod (Hac.fs t) "/docs/secret.txt" 0o000;
+  ignore (Hac.reindex t ());
+  Alcotest.(check (list string))
+    "no event, no change yet" [ "/docs/open.txt"; "/docs/secret.txt" ]
+    (transient_targets t "/apples");
+  List.iter (fun p -> Hac.write_file t p "more plain notes\n") files;
+  ignore (Hac.reindex t ());
+  Alcotest.(check (list string))
+    "dropped at the trigger" [ "/docs/open.txt" ] (transient_targets t "/apples");
+  (count rebuilds - r0, count fallbacks - f0)
+
+let test_hac_churn_drops_unreadable_cas () =
+  let rebuilds, fallbacks = churn_drops_unreadable ~cas:true in
+  check_int "no rebuild" 0 rebuilds;
+  check_int "no fallback" 0 fallbacks
+
+let test_hac_churn_drops_unreadable_blocks () =
+  let rebuilds, _ = churn_drops_unreadable ~cas:false in
+  check_int "block path rebuilds" 1 rebuilds
+
 (* -- properties -------------------------------------------------------------------------- *)
 
 (* access(2) must predict exactly whether reads and writes succeed, for any
@@ -284,6 +322,10 @@ let () =
             test_hac_indexing_respects_permissions;
           Alcotest.test_case "owner indexes everything" `Quick
             test_hac_indexing_as_owner_sees_all;
+          Alcotest.test_case "churn drops unreadable (CAS)" `Quick
+            test_hac_churn_drops_unreadable_cas;
+          Alcotest.test_case "churn drops unreadable (blocks)" `Quick
+            test_hac_churn_drops_unreadable_blocks;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -74,6 +74,62 @@ let test_metadata_persisted () =
   let metas = List.filter (fun n -> String.length n > 3 && String.sub n 0 3 = "sd-") (Fs.readdir fs "/.hac") in
   check_int "four structure files" 4 (List.length metas)
 
+(* The exact bytes of a small semantic directory's structure files: query,
+   links of both classes plus a remote entry, a prohibition and the result
+   bitmap, each sealed.  Any change to how they are rendered shows up here
+   (and would be a format change for recovery). *)
+let golden_structure =
+  [
+    ( "sd-2.links",
+      "HACCKPT1 154 1f5460a6\ntransient a.txt /docs/a.txt\npermanent c.txt /docs/c.txt\n\
+       transient d.txt /docs/d.txt\ntransient paper.ps dlib://lib/paper.ps\n\
+       remote lib dlib://lib/paper.ps\n" );
+    ("sd-2.proh", "HACCKPT1 11 80333656\n/docs/b.txt");
+    ("sd-2.query", "HACCKPT1 6 e37d9473\nalpha\n");
+    ("sd-2.result", "HACCKPT1 1 060c5eb2\n\003");
+  ]
+
+let golden_world () =
+  let t = Hac.create ~stem:false () in
+  Hac.mkdir_p t "/docs";
+  List.iter
+    (fun (p, c) -> Hac.write_file t p c)
+    [
+      ("/docs/a.txt", "alpha one");
+      ("/docs/b.txt", "alpha two");
+      ("/docs/c.txt", "beta three");
+      ("/docs/d.txt", "alpha four");
+    ];
+  ignore (Hac.reindex t ());
+  Hac.smkdir t "/alpha" "alpha";
+  Hac.smount t "/alpha"
+    (Hac_remote.Namespace.static ~ns_id:"lib"
+       [ ("paper.ps", "dlib://lib/paper.ps", "an alpha survey\n") ]);
+  ignore (Hac.links t "/alpha");
+  ignore (Hac.add_permanent t ~dir:"/alpha" ~target:"/docs/c.txt");
+  Hac.remove_link t ~dir:"/alpha" ~name:"b.txt";
+  ignore (Hac.reindex t ());
+  t
+
+let test_structure_bytes_pinned () =
+  let fs = Hac.fs (golden_world ()) in
+  let files =
+    Fs.readdir fs "/.hac"
+    |> List.filter (fun n -> String.length n > 3 && String.sub n 0 3 = "sd-")
+    |> List.sort compare
+  in
+  let got = List.map (fun n -> (n, Fs.read_file fs ("/.hac/" ^ n))) files in
+  Alcotest.(check (list (pair string string))) "sealed structure files" golden_structure got
+
+let test_checksum_pinned () =
+  List.iter
+    (fun (s, want) ->
+      check_int (Printf.sprintf "checksum %S" s) want (Hac_store.Seal.checksum s))
+    [ ("", 0x811c9dc5); ("a", 0xe40c292c); ("foobar", 0xbf9cf968) ];
+  Alcotest.(check string) "sealed line" "alpha #5d8b6dab" (Hac_store.Seal.seal "alpha");
+  Alcotest.(check string) "sealed blob" "HACCKPT1 5 5d8b6dab\nalpha" (Hac_store.Seal.seal_blob "alpha");
+  Alcotest.(check string) "empty blob" "HACCKPT1 0 811c9dc5\n" (Hac_store.Seal.seal_blob "")
+
 let test_reload_restores_everything () =
   let fs = build_and_crash () in
   let t2 = Hac.of_fs ~auto_sync:true fs in
@@ -257,6 +313,8 @@ let () =
       ( "persistence",
         [
           Alcotest.test_case "metadata persisted" `Quick test_metadata_persisted;
+          Alcotest.test_case "structure bytes pinned" `Quick test_structure_bytes_pinned;
+          Alcotest.test_case "checksum pinned" `Quick test_checksum_pinned;
           Alcotest.test_case "journal paths" `Quick test_journal_paths;
         ] );
       ( "reload",

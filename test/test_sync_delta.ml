@@ -12,8 +12,17 @@ module Namespace = Hac_remote.Namespace
 module Fault = Hac_fault.Fault
 
 let files = [| "/d0/a.txt"; "/d0/b.txt"; "/d1/c.txt"; "/d1/d.txt"; "/d2/e.txt" |]
+
+(* Names no file starts at: a move to one is a move to a fresh name (a
+   clobber once something moved there), and moves out of one bring the
+   file back.  They sit in different subtrees, so moves cross scopes. *)
+let spares = [| "/d1/m0.txt"; "/d0/m1.txt"; "/d2/m2.txt" |]
+let slots = Array.append files spares
 let words = [| "red"; "green"; "blue"; "cyan" |]
-let sem_dirs = [| "/s0"; "/s1"; "/s2" |]
+
+(* [/d1/s3] sits under a plain directory: its parent scope is the [/d1]
+   subtree, so a move into or out of [/d1] changes what it may contain. *)
+let sem_dirs = [| "/s0"; "/s1"; "/s2"; "/d1/s3" |]
 (* The approximate queries cover expansion staleness across settles: the
    vocabulary grows between passes while their expansions stay cached. *)
 let queries =
@@ -22,7 +31,7 @@ let queries =
 type op =
   | Write of int * int (* file slot, word slot *)
   | Delete of int
-  | Move of int * int
+  | Move of int * int (* slots, moves that clobber included *)
   | Smkdir of int * int (* dir slot, query slot *)
   | Schquery of int * int
   | RemoveLink of int * int (* dir slot, rank among transient links *)
@@ -40,17 +49,20 @@ let pp_op = function
   | Unprohibit (d, f) -> Printf.sprintf "Unprohibit(%d,%d)" d f
 
 let gen_op =
+  let dir = QCheck.Gen.int_bound (Array.length sem_dirs - 1) in
+  let slot = QCheck.Gen.int_bound (Array.length slots - 1) in
   QCheck.Gen.(
     frequency
       [
         (6, map2 (fun f w -> Write (f, w)) (int_bound 4) (int_bound 3));
         (2, map (fun f -> Delete f) (int_bound 4));
         (2, map2 (fun a b -> Move (a, b)) (int_bound 4) (int_bound 4));
-        (2, map2 (fun d q -> Smkdir (d, q)) (int_bound 2) (int_bound (Array.length queries - 1)));
-        (1, map2 (fun d q -> Schquery (d, q)) (int_bound 2) (int_bound (Array.length queries - 1)));
-        (1, map2 (fun d r -> RemoveLink (d, r)) (int_bound 2) (int_bound 3));
-        (1, map2 (fun d f -> AddPerm (d, f)) (int_bound 2) (int_bound 4));
-        (1, map2 (fun d f -> Unprohibit (d, f)) (int_bound 2) (int_bound 4));
+        (3, map2 (fun a b -> Move (a, b)) slot slot);
+        (2, map2 (fun d q -> Smkdir (d, q)) dir (int_bound (Array.length queries - 1)));
+        (1, map2 (fun d q -> Schquery (d, q)) dir (int_bound (Array.length queries - 1)));
+        (1, map2 (fun d r -> RemoveLink (d, r)) dir (int_bound 3));
+        (1, map2 (fun d f -> AddPerm (d, f)) dir (int_bound 4));
+        (1, map2 (fun d f -> Unprohibit (d, f)) dir (int_bound 4));
       ])
 
 let arb_ops =
@@ -67,7 +79,7 @@ let apply t op =
       ignore_errors (fun () ->
           Hac.write_file t files.(f) (Printf.sprintf "some %s text\n" words.(w)))
   | Delete f -> ignore_errors (fun () -> Hac.unlink t files.(f))
-  | Move (a, b) -> ignore_errors (fun () -> Hac.rename t ~src:files.(a) ~dst:files.(b))
+  | Move (a, b) -> ignore_errors (fun () -> Hac.rename t ~src:slots.(a) ~dst:slots.(b))
   | Smkdir (d, q) -> ignore_errors (fun () -> Hac.smkdir t sem_dirs.(d) queries.(q))
   | Schquery (d, q) -> ignore_errors (fun () -> Hac.schquery t sem_dirs.(d) queries.(q))
   | RemoveLink (d, r) ->
@@ -195,12 +207,24 @@ let test_rename_invalidates () =
   Hac.smkdir t "/s" "red";
   ignore (Hac.reindex t ());
   Alcotest.(check (list string)) "linked" [ "a.txt" ] (link_names t "/s");
-  (* A rename produces no reindex delta (content is unchanged), yet every
-     cached result naming the old path is now wrong: the settle must fall
-     back to a full sync and retarget the link. *)
+  (* The content is unchanged, yet every cached result and link naming the
+     old path is now wrong: the settle's delta carries the renamed
+     document and retargets its link, without a full-sync fallback. *)
+  let fallbacks () =
+    Hac_obs.Metrics.count (Hac.instr t).Hac_core.Instr.sync_fallback
+  in
+  let before = fallbacks () in
   Hac.rename t ~src:"/d0/a.txt" ~dst:"/d0/z.txt";
   ignore (Hac.reindex t ());
-  Alcotest.(check (list string)) "retargeted" [ "z.txt" ] (link_names t "/s")
+  Alcotest.(check (list string)) "retargeted" [ "z.txt" ] (link_names t "/s");
+  Alcotest.(check int) "no fallback" before (fallbacks ());
+  (* Clobbering an indexed file still takes the full pass. *)
+  Hac.write_file t "/d0/b.txt" "red again";
+  ignore (Hac.reindex t ());
+  Hac.rename t ~src:"/d0/z.txt" ~dst:"/d0/b.txt";
+  ignore (Hac.reindex t ());
+  Alcotest.(check (list string)) "clobber retargeted" [ "b.txt" ] (link_names t "/s");
+  Alcotest.(check int) "clobber falls back" (before + 1) (fallbacks ())
 
 let test_remove_invalidates () =
   let t = fresh () in

@@ -107,6 +107,70 @@ let prop_stem_never_longer =
   QCheck.Test.make ~name:"stem never longer" ~count:1000 word_gen (fun w ->
       String.length (Stemmer.stem w) <= String.length w)
 
+(* The stemmer as it was written before its suffix tests compared in
+   place: one [String.sub] per rule test.  Kept verbatim as the oracle. *)
+module Reference_stemmer = struct
+  let ends_with ~suffix w =
+    let sl = String.length suffix and wl = String.length w in
+    wl >= sl && String.sub w (wl - sl) sl = suffix
+
+  let chop w n = String.sub w 0 (String.length w - n)
+
+  let rules =
+    [
+      ("sses", 2, "", 2);
+      ("ies", 3, "y", 2);
+      ("ness", 4, "", 3);
+      ("ments", 5, "", 3);
+      ("ment", 4, "", 3);
+      ("ings", 4, "", 3);
+      ("ing", 3, "", 3);
+      ("edly", 4, "", 3);
+      ("ed", 2, "", 3);
+      ("ly", 2, "", 3);
+      ("es", 2, "", 3);
+      ("s", 1, "", 3);
+    ]
+
+  let plural_guard suffix w =
+    (suffix = "s" || suffix = "es") && (ends_with ~suffix:"ss" w || ends_with ~suffix:"us" w)
+
+  let rec stem w =
+    let n = String.length w in
+    if n <= 3 then w
+    else
+      let rec try_rules = function
+        | [] -> w
+        | (suffix, drop, repl, min_stem) :: rest ->
+            if ends_with ~suffix w && String.length w - drop >= min_stem && not (plural_guard suffix w)
+            then stem (chop w drop ^ repl)
+            else try_rules rest
+      in
+      try_rules rules
+end
+
+(* Random stems with stacked suffixes drawn from the rules' own, so every
+   rule, guard and minimum-length boundary is exercised. *)
+let prop_stem_equals_reference =
+  let suffixes = [| ""; "s"; "es"; "ss"; "us"; "ies"; "sses"; "ness"; "ment"; "ments"; "ing"; "ings"; "ed"; "edly"; "ly"; "y" |] in
+  let gen =
+    QCheck.Gen.(
+      map2
+        (fun cs sfx -> String.concat "" (List.map (String.make 1) cs) ^ String.concat "" sfx)
+        (list_size (int_range 0 6) (char_range 'a' 'z'))
+        (list_size (int_range 0 3) (oneofa suffixes)))
+  in
+  QCheck.Test.make ~name:"stem equals the reference stemmer" ~count:3000
+    (QCheck.make gen ~print:(fun s -> s))
+    (fun w -> Stemmer.stem w = Reference_stemmer.stem w)
+
+let test_stem_corpus_vocabulary () =
+  let c = Hac_workload.Corpus.make ~seed:1 () in
+  for i = 0 to 3999 do
+    let w = Hac_workload.Corpus.vocab_word c i in
+    check_str w (Reference_stemmer.stem w) (Stemmer.stem w)
+  done
+
 (* The in-place scanner must agree exactly with the token-based reference. *)
 let prop_contains_word_equiv =
   let text_gen =
@@ -171,12 +235,15 @@ let () =
           Alcotest.test_case "short words" `Quick test_stem_short_words;
           Alcotest.test_case "guards" `Quick test_stem_guards;
           Alcotest.test_case "specific forms" `Quick test_stem_specific;
+          Alcotest.test_case "corpus vocabulary matches the reference" `Quick
+            test_stem_corpus_vocabulary;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_stem_idempotent;
             prop_stem_never_longer;
+            prop_stem_equals_reference;
             prop_tokenizer_words_valid;
             prop_contains_word_equiv;
           ] );
